@@ -2,7 +2,8 @@
 
 Encodes symbol groups across antenna radiation states, subcarriers and
 transmit antennas, simulates frequency-selective Rayleigh fading, decodes by
-per-group maximum likelihood, and sweeps BER against matched baselines.
+per-group maximum likelihood, and sweeps BER against baselines written as
+configurations of the same code.
 """
 
 from .channel import (
@@ -13,10 +14,10 @@ from .channel import (
     draw_channel,
     frequency_response,
 )
-from .codec import SfCodeword, build_theta, combine, encode, read_codeword, write_codeword
+from .codec import SfCodeword, build_theta, encode, read_codeword, write_codeword
 from .config import ConfigError, SystemConfig, config_from_dict, config_to_dict, load_config
 from .core import BPSK, QPSK, CapExceededError, demodulate, hadamard, modulate
-from .decoder import DECOUPLED, EXHAUSTIVE, decode, decoupled_ml_decode_group, ml_decode_group
+from .decoder import DECOUPLED, EXHAUSTIVE, decode
 from .angleopt import AngleSearchReport, coding_gain_metric, optimize_angles
 from .harness import (
     BerPoint,
@@ -30,11 +31,10 @@ from .harness import (
     snr_at_ber,
     write_results,
 )
-from .schemes import AlamoutiSfScheme, QosfScheme, alamouti_variant, p1_variant
+from .schemes import QosfScheme, alamouti_variant, p1_variant
 from .version import __version__
 
 __all__ = [
-    "AlamoutiSfScheme",
     "AngleSearchReport",
     "BPSK",
     "BerPoint",
@@ -55,11 +55,9 @@ __all__ = [
     "apply",
     "build_theta",
     "coding_gain_metric",
-    "combine",
     "config_from_dict",
     "config_to_dict",
     "decode",
-    "decoupled_ml_decode_group",
     "demodulate",
     "draw_channel",
     "emit_plot_data",
@@ -68,7 +66,6 @@ __all__ = [
     "frequency_response",
     "hadamard",
     "load_config",
-    "ml_decode_group",
     "modulate",
     "optimize_angles",
     "p1_variant",

@@ -4,7 +4,8 @@ A block of 2*P*L source symbols per group is phase-rotated and Hadamard
 combined, then laid out as L stacked Alamouti sub-blocks per radiation state.
 Each state's matrix spans all subcarriers of the group, giving one symbol per
 tone per state (rate one) while spreading every source symbol across space,
-frequency and radiation state.
+frequency and radiation state.  With P=1 and L=1 the combiner is the identity
+and the code is Alamouti-SF: one Alamouti block per subcarrier pair.
 """
 
 from __future__ import annotations
@@ -52,53 +53,12 @@ def build_theta(angles, pl: int) -> np.ndarray:
     return hadamard(pl) * phases[None, :]
 
 
-def combine(group, theta: np.ndarray) -> np.ndarray:
-    """Rotate-and-combine one symbol group, keeping unit average entry energy.
-
-    Odd-position and even-position sub-streams are combined independently with
-    the same matrix; the 1/sqrt(PL) factor makes each combined value unit
-    energy for unit-energy inputs.
-    """
-    group = np.asarray(group, dtype=complex)
-    pl = theta.shape[0]
-    if theta.shape != (pl, pl):
-        raise ValueError("theta must be square")
-    if group.shape != (2 * pl,):
-        raise ValueError(f"expected a group of {2 * pl} symbols, got {group.shape}")
-    kappa = 1.0 / np.sqrt(pl)
-    out = np.empty(2 * pl, dtype=complex)
-    out[0::2] = kappa * (theta @ group[0::2])
-    out[1::2] = kappa * (theta @ group[1::2])
-    return out
-
-
-def alamouti(x1: complex, x2: complex) -> np.ndarray:
-    """The 2x2 orthogonal design [[x1, x2], [-x2*, x1*]]."""
-    return np.array([[x1, x2], [-np.conj(x2), np.conj(x1)]], dtype=complex)
-
-
-def encode_group(combined, state: int, num_paths: int) -> np.ndarray:
-    """Stack the L Alamouti sub-blocks of one state from a combined group.
-
-    state is 1-based; state p consumes combined values 2(p-1)L+1 .. 2pL
-    (1-based), i.e. L consecutive (odd, even) pairs.
-    """
-    combined = np.asarray(combined, dtype=complex)
-    num_states = combined.size // (2 * num_paths)
-    if combined.size != num_states * 2 * num_paths:
-        raise ValueError("combined group length must be 2 * states * paths")
-    if not 1 <= state <= num_states:
-        raise ValueError(f"state {state} out of range 1..{num_states}")
-    base = 2 * (state - 1) * num_paths
-    blocks = [
-        alamouti(combined[base + 2 * k], combined[base + 2 * k + 1])
-        for k in range(num_paths)
-    ]
-    return np.vstack(blocks)
-
-
-def group_codewords(groups, theta: np.ndarray, num_states: int, num_paths: int) -> np.ndarray:
+def group_codewords(groups, theta: np.ndarray, num_states: int, code_paths: int) -> np.ndarray:
     """Per-state transmit blocks for a batch of symbol groups.
+
+    Each group is rotated and combined, odd- and even-position sub-streams
+    separately, by theta / sqrt(PL); state p (0-based) then stacks the L
+    Alamouti blocks [[x1, x2], [-x2*, x1*]] of combined values 2pL .. 2(p+1)L - 1.
 
     groups has shape [G, 2*P*L]; the result has shape [G, P, 2L, num_tx],
     indexed (group, state, local subcarrier, antenna).  Used both by
@@ -106,16 +66,16 @@ def group_codewords(groups, theta: np.ndarray, num_states: int, num_paths: int) 
     has a single source of truth.
     """
     groups = np.atleast_2d(np.asarray(groups, dtype=complex))
-    pl = num_states * num_paths
+    pl = num_states * code_paths
     if theta.shape != (pl, pl):
-        raise ValueError(f"theta must be {pl}x{pl} for {num_states} states, {num_paths} paths")
+        raise ValueError(f"theta must be {pl}x{pl} for {num_states} states, depth {code_paths}")
     if groups.shape[1] != 2 * pl:
         raise ValueError(f"expected groups of {2 * pl} symbols, got {groups.shape[1]}")
     kappa = 1.0 / np.sqrt(pl)
     g = groups.shape[0]
-    odd = (kappa * (groups[:, 0::2] @ theta.T)).reshape(g, num_states, num_paths)
-    even = (kappa * (groups[:, 1::2] @ theta.T)).reshape(g, num_states, num_paths)
-    out = np.empty((g, num_states, 2 * num_paths, NUM_TX), dtype=complex)
+    odd = (kappa * (groups[:, 0::2] @ theta.T)).reshape(g, num_states, code_paths)
+    even = (kappa * (groups[:, 1::2] @ theta.T)).reshape(g, num_states, code_paths)
+    out = np.empty((g, num_states, 2 * code_paths, NUM_TX), dtype=complex)
     out[:, :, 0::2, 0] = odd
     out[:, :, 0::2, 1] = even
     out[:, :, 1::2, 0] = -np.conj(even)
@@ -130,7 +90,7 @@ def encode(symbols, config: SystemConfig) -> SfCodeword:
     group m occupies subcarriers [m*2L, (m+1)*2L) in every state.
     """
     symbols = np.asarray(symbols, dtype=complex)
-    p, el = config.num_states, config.num_paths
+    p, el = config.num_states, config.code_paths
     m = config.num_groups
     expected = m * config.symbols_per_group
     if symbols.shape != (expected,):

@@ -20,7 +20,7 @@ class ConfigError(ValueError):
 
 
 class SubcarrierMultipleError(ConfigError):
-    """num_subcarriers is not a multiple of num_paths * num_tx."""
+    """num_subcarriers is not a multiple of code_paths * num_tx."""
 
 
 @dataclass(frozen=True)
@@ -29,8 +29,10 @@ class SystemConfig:
 
     num_tx / num_rx        transmit / receive antenna counts (num_tx must be 2)
     num_states             radiation pattern states P of the transmit antennas
-    num_paths              channel taps L per state
-    num_subcarriers        OFDM tones, a multiple of num_paths * num_tx
+    num_paths              channel taps per state
+    code_paths             stacking depth L of the code, 1..num_paths; defaults
+                           to num_paths (1 with P=1 gives Alamouti-SF)
+    num_subcarriers        OFDM tones, a multiple of code_paths * num_tx
     cp_len                 cyclic prefix length in samples
     symbol_duration_s      OFDM symbol duration; subcarrier spacing is its inverse
     delays_s               per-state tap delays in seconds, non-decreasing
@@ -44,6 +46,7 @@ class SystemConfig:
     num_rx: int = 1
     num_states: int = 2
     num_paths: int = 2
+    code_paths: int | None = None
     num_subcarriers: int = 128
     cp_len: int = 21
     symbol_duration_s: float = 128e-6
@@ -54,6 +57,8 @@ class SystemConfig:
     master_seed: int = 0
 
     def __post_init__(self):
+        if self.code_paths is None:
+            object.__setattr__(self, "code_paths", self.num_paths)
         object.__setattr__(self, "delays_s", _per_state(self.delays_s, self.num_states, "delays_s"))
         object.__setattr__(
             self, "path_powers", _per_state(self.path_powers, self.num_states, "path_powers")
@@ -65,13 +70,13 @@ class SystemConfig:
 
     @property
     def pl(self) -> int:
-        """Combiner size: states times paths."""
-        return self.num_states * self.num_paths
+        """Combiner size: states times code depth."""
+        return self.num_states * self.code_paths
 
     @property
     def group_span(self) -> int:
         """Subcarriers occupied by one symbol group."""
-        return self.num_paths * self.num_tx
+        return self.code_paths * self.num_tx
 
     @property
     def num_groups(self) -> int:
@@ -90,9 +95,14 @@ class SystemConfig:
         return self.symbol_duration_s / self.num_subcarriers
 
     def _validate(self):
-        for name in ("num_tx", "num_rx", "num_states", "num_paths", "num_subcarriers"):
+        for name in ("num_tx", "num_rx", "num_states", "num_paths", "code_paths",
+                     "num_subcarriers"):
             if getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be a positive integer")
+        if self.code_paths > self.num_paths:
+            raise ConfigError(
+                f"code_paths ({self.code_paths}) must lie in 1..num_paths ({self.num_paths})"
+            )
         if self.num_tx != 2:
             raise ConfigError("only num_tx = 2 is supported (Alamouti sub-blocks)")
         if self.cp_len < 0:
@@ -102,11 +112,11 @@ class SystemConfig:
         if self.num_subcarriers % self.group_span != 0:
             raise SubcarrierMultipleError(
                 f"num_subcarriers ({self.num_subcarriers}) must be a multiple of "
-                f"num_paths * num_tx ({self.group_span})"
+                f"code_paths * num_tx ({self.group_span})"
             )
         if not is_power_of_two(self.pl):
             raise ConfigError(
-                f"num_states * num_paths must be a power of two, got {self.pl}"
+                f"num_states * code_paths must be a power of two, got {self.pl}"
             )
         constellation_points(self.constellation)
         if len(self.rotation_angles) != self.pl - 1:

@@ -3,12 +3,13 @@
 The code places each group of 2*P*L symbols on a disjoint window of L*Mt
 subcarriers, and the frequency-domain channel acts independently per
 subcarrier, so the ML metric separates over groups.  Decoding therefore runs
-an exhaustive (or decoupled) search per group over the candidate codeword set.
+an exhaustive (or decoupled) search per group over the candidate codeword set,
+for all groups of a block at once.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import functools
 
 import numpy as np
 
@@ -18,56 +19,13 @@ from .config import SystemConfig
 from .core import CapExceededError, constellation_points, demodulate
 
 # Largest candidate set an exhaustive search will enumerate.  QPSK with
-# P=2, L=2 needs 4**16 = 2**32 candidates, which is out of reach; the decoupled
-# search brings that back to 2 * 4**8.
+# P=2, L=2 has 2PL = 8 symbols per group and needs 4**8 = 2**16 candidates;
+# the decoupled search visits 2 * 4**4.  QPSK with P*L = 8 would need
+# 4**16 = 2**32, which is out of reach.
 DEFAULT_SEARCH_CAP = 2 ** 20
 
 EXHAUSTIVE = "exhaustive"
 DECOUPLED = "decoupled"
-
-
-@dataclass
-class GroupObservation:
-    """Received samples and channel gains for one code group.
-
-    received : complex [P, L*Mt, Mr]
-        Frequency-domain receive samples on the group's subcarrier window,
-        one slice per antenna state.
-    response : complex [P, L*Mt, Mr, Mt]
-        Channel frequency response on the same window.
-    snr_linear : float
-        Per-subcarrier SNR used in the transmit scaling sqrt(snr / Mt).
-    """
-
-    received: np.ndarray
-    response: np.ndarray
-    snr_linear: float
-
-    @property
-    def num_states(self) -> int:
-        return self.received.shape[0]
-
-    @property
-    def span(self) -> int:
-        return self.received.shape[1]
-
-
-def group_observation(
-    received: ReceivedBlock,
-    grid: ChannelFrequencyGrid,
-    config: SystemConfig,
-    group_index: int,
-) -> GroupObservation:
-    """Slice out the window for one group (0-based index)."""
-    if not 0 <= group_index < config.num_groups:
-        raise ValueError(f"group_index {group_index} out of range [0, {config.num_groups})")
-    span = config.group_span
-    window = slice(group_index * span, (group_index + 1) * span)
-    return GroupObservation(
-        received=received.samples[:, window, :],
-        response=grid.response[:, window, :, :],
-        snr_linear=received.snr_linear,
-    )
 
 
 def enumerate_symbol_tuples(constellation: str, length: int) -> np.ndarray:
@@ -87,10 +45,9 @@ def enumerate_symbol_tuples(constellation: str, length: int) -> np.ndarray:
     return points[digits]
 
 
-_candidate_cache: dict = {}
-
-
-def _candidates(constellation: str, theta: np.ndarray, num_states: int, num_paths: int, half: str):
+@functools.lru_cache(maxsize=16)
+def _candidates(constellation: str, rotation_angles: tuple, num_states: int,
+                code_paths: int, half: str):
     """Candidate (symbols, codewords, outer products), cached per code.
 
     half selects the search space: "full" enumerates all 2PL positions,
@@ -98,11 +55,7 @@ def _candidates(constellation: str, theta: np.ndarray, num_states: int, num_path
     The outer-product table conj(c_i) c_j per subcarrier feeds the batched
     decoder's energy term.
     """
-    key = (constellation, num_states, num_paths, half, theta.tobytes())
-    hit = _candidate_cache.get(key)
-    if hit is not None:
-        return hit
-    pl = num_states * num_paths
+    pl = num_states * code_paths
     if half == "full":
         symbols = enumerate_symbol_tuples(constellation, 2 * pl)
     else:
@@ -110,77 +63,13 @@ def _candidates(constellation: str, theta: np.ndarray, num_states: int, num_path
         symbols = np.zeros((active.shape[0], 2 * pl), dtype=complex)
         offset = 0 if half == "odd" else 1
         symbols[:, offset::2] = active
-    codewords = group_codewords(symbols, theta, num_states, num_paths)
+    theta = build_theta(rotation_angles, pl)
+    codewords = group_codewords(symbols, theta, num_states, code_paths)
     outer = np.conj(codewords)[:, :, :, :, None] * codewords[:, :, :, None, :]
-    if len(_candidate_cache) >= 16:
-        _candidate_cache.clear()
-    _candidate_cache[key] = (symbols, codewords, outer)
-    return _candidate_cache[key]
-
-
-def _metric(obs: GroupObservation, codewords: np.ndarray) -> np.ndarray:
-    """Squared Euclidean distance of each candidate from the observation."""
-    scale = np.sqrt(obs.snr_linear / NUM_TX)
-    predicted = scale * np.einsum("pnji,kpni->kpnj", obs.response, codewords)
-    diff = predicted - obs.received[None, :, :, :]
-    return np.einsum("kpnj,kpnj->k", diff, np.conj(diff)).real
-
-
-def ml_decode_group(
-    obs: GroupObservation,
-    theta: np.ndarray,
-    constellation: str,
-    cap: int = DEFAULT_SEARCH_CAP,
-) -> np.ndarray:
-    """Exhaustive ML search over all candidate groups; returns 2PL symbols."""
-    num_states = obs.num_states
-    num_paths = obs.span // NUM_TX
-    q = len(constellation_points(constellation))
-    count = q ** (2 * num_states * num_paths)
-    if count > cap:
-        raise CapExceededError(
-            f"exhaustive search needs {count} candidates, cap is {cap}; "
-            "use the decoupled decoder or a smaller code"
-        )
-    symbols, codewords, _ = _candidates(constellation, theta, num_states, num_paths, "full")
-    best = int(np.argmin(_metric(obs, codewords)))
-    return symbols[best].copy()
-
-
-def decoupled_ml_decode_group(
-    obs: GroupObservation,
-    theta: np.ndarray,
-    constellation: str,
-    cap: int = DEFAULT_SEARCH_CAP,
-) -> np.ndarray:
-    """Two independent half-searches over the odd and even sub-streams.
-
-    Each codeword entry carries either odd-indexed or even-indexed symbols,
-    never a mix, so the ML metric evaluated with the complementary sub-stream
-    zeroed scores one half in isolation.  When the channel response is equal
-    across each subcarrier pair the cross term between the halves vanishes and
-    the combined result equals the exhaustive search.
-    """
-    num_states = obs.num_states
-    num_paths = obs.span // NUM_TX
-    q = len(constellation_points(constellation))
-    count = q ** (num_states * num_paths)
-    if count > cap:
-        raise CapExceededError(
-            f"decoupled search needs {count} candidates per half, cap is {cap}"
-        )
-    out = np.empty(2 * num_states * num_paths, dtype=complex)
-    for half, offset in (("odd", 0), ("even", 1)):
-        symbols, codewords, _ = _candidates(constellation, theta, num_states, num_paths, half)
-        best = int(np.argmin(_metric(obs, codewords)))
-        out[offset::2] = symbols[best, offset::2]
-    return out
-
-
-_GROUP_DECODERS = {
-    EXHAUSTIVE: ml_decode_group,
-    DECOUPLED: decoupled_ml_decode_group,
-}
+    # Every caller shares the cached arrays.
+    for table in (symbols, codewords, outer):
+        table.flags.writeable = False
+    return symbols, codewords, outer
 
 
 def _batched_argmin(received, grid, config, codewords, outer):
@@ -218,13 +107,11 @@ def decode(
 
     Returns the bits in the original stream order (group by group, symbol by
     symbol).  mode selects "exhaustive" or "decoupled" per-group search; both
-    process all groups in one vectorized pass and agree with the per-group
-    functions above.
+    process all groups in one vectorized pass.
     """
-    if mode not in _GROUP_DECODERS:
+    if mode not in (EXHAUSTIVE, DECOUPLED):
         raise ValueError(f"unknown decoder mode {mode!r}")
-    theta = build_theta(config.rotation_angles, config.pl)
-    p, el = config.num_states, config.num_paths
+    code = (config.constellation, config.rotation_angles, config.num_states, config.code_paths)
     q = len(constellation_points(config.constellation))
     decoded = np.empty((config.num_groups, config.symbols_per_group), dtype=complex)
     if mode == EXHAUSTIVE:
@@ -233,15 +120,15 @@ def decode(
                 f"exhaustive search needs {q ** config.symbols_per_group} "
                 f"candidates per group, cap is {cap}"
             )
-        symbols, codewords, outer = _candidates(config.constellation, theta, p, el, "full")
+        symbols, codewords, outer = _candidates(*code, "full")
         decoded[:, :] = symbols[_batched_argmin(received, grid, config, codewords, outer)]
     else:
-        if q ** (p * el) > cap:
+        if q ** config.pl > cap:
             raise CapExceededError(
-                f"decoupled search needs {q ** (p * el)} candidates per half, cap is {cap}"
+                f"decoupled search needs {q ** config.pl} candidates per half, cap is {cap}"
             )
         for half, offset in (("odd", 0), ("even", 1)):
-            symbols, codewords, outer = _candidates(config.constellation, theta, p, el, half)
+            symbols, codewords, outer = _candidates(*code, half)
             best = _batched_argmin(received, grid, config, codewords, outer)
             decoded[:, offset::2] = symbols[best][:, offset::2]
     return demodulate(decoded.ravel(), config.constellation)

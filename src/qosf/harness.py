@@ -20,7 +20,7 @@ import numpy as np
 from .channel import apply, draw_channel, frequency_response
 from .config import SystemConfig, config_from_dict, config_to_dict
 from .decoder import DECOUPLED, EXHAUSTIVE
-from .schemes import AlamoutiSfScheme, QosfScheme
+from .schemes import QosfScheme
 from .version import __version__
 
 SCHEME_QOSF = "qosf"
@@ -51,9 +51,11 @@ class ResultsParseError(ValueError):
 class SweepSpec:
     """Everything run_sweep needs: scenario, stopping rule, decoder choice.
 
-    independent_streams breaks the common-random-numbers pairing by folding
-    the scenario label into the seed tree, for runs that must not share
-    channel draws with other scenarios.
+    The config alone selects the code; scheme is a label that is checked
+    against it: "alamouti-sf" needs the single-state, depth-one code and the
+    exhaustive decoder.  independent_streams breaks the common-random-numbers
+    pairing by folding the scenario label into the seed tree, for runs that
+    must not share channel draws with other scenarios.
     """
 
     config: SystemConfig
@@ -81,6 +83,15 @@ class SweepSpec:
             raise InvalidSpecError(f"unknown scheme {self.scheme!r}")
         if self.decoder_mode not in (EXHAUSTIVE, DECOUPLED):
             raise InvalidSpecError(f"unknown decoder mode {self.decoder_mode!r}")
+        cfg = self.config
+        if self.scheme == SCHEME_ALAMOUTI and (
+            cfg.num_states, cfg.code_paths, self.decoder_mode
+        ) != (1, 1, EXHAUSTIVE):
+            raise InvalidSpecError(
+                "scheme alamouti-sf needs num_states = 1, code_paths = 1 and the "
+                f"exhaustive decoder, got {cfg.num_states}, {cfg.code_paths} and "
+                f"{self.decoder_mode}"
+            )
         if not self.scenario_label or any(c in self.scenario_label for c in "\t\n"):
             raise InvalidSpecError("scenario_label must be non-empty printable text")
 
@@ -113,10 +124,8 @@ class SweepResult:
     wall_time_s: float = field(default=0.0, compare=False)
 
 
-def build_scheme(spec: SweepSpec):
-    if spec.scheme == SCHEME_QOSF:
-        return QosfScheme(spec.config, decoder_mode=spec.decoder_mode)
-    return AlamoutiSfScheme(spec.config)
+def build_scheme(spec: SweepSpec) -> QosfScheme:
+    return QosfScheme(spec.config, decoder_mode=spec.decoder_mode)
 
 
 def block_rng(
@@ -177,7 +186,10 @@ def _point_task(args):
 def default_worker_count() -> int:
     env = os.environ.get("QOSF_WORKERS")
     if env:
-        count = int(env)
+        try:
+            count = int(env)
+        except ValueError:
+            raise ValueError(f"QOSF_WORKERS must be an integer, got {env!r}") from None
         if count < 1:
             raise ValueError("QOSF_WORKERS must be at least 1")
         return count
@@ -185,12 +197,18 @@ def default_worker_count() -> int:
 
 
 def run_sweep(spec: SweepSpec, workers: int | None = None) -> SweepResult:
-    """Run every SNR point, possibly in parallel; output is worker-invariant."""
+    """Run every SNR point, possibly in parallel; output is worker-invariant.
+
+    The pool never holds more processes than there are points.
+    """
     if workers is None:
         workers = default_worker_count()
+    if workers < 1:
+        raise ValueError(f"workers must be at least 1, got {workers}")
     start = time.perf_counter()
     tasks = [(spec, snr, i) for i, snr in enumerate(spec.snr_db_points)]
-    if workers == 1 or len(tasks) == 1:
+    workers = min(workers, len(tasks))
+    if workers == 1:
         points = [_point_task(t) for t in tasks]
     else:
         with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
@@ -312,11 +330,28 @@ def read_results(path) -> SweepResult:
                 float(cells[3])
             except ValueError as exc:
                 raise ResultsParseError(f"line {lineno}: {exc}") from None
+            if bits <= 0 or not 0 <= errors <= bits:
+                raise ResultsParseError(
+                    f"line {lineno}: {errors} errors in {bits} bits; need bits > 0 "
+                    "and 0 <= errors <= bits"
+                )
             points.append(BerPoint.from_counts(snr, bits, errors))
     if not saw_csv_header:
         raise ResultsParseError("line 0: truncated file, no column header")
     try:
-        config = config_from_dict(json.loads(headers["config"]))
+        try:
+            config_data = json.loads(headers["config"])
+        except json.JSONDecodeError as exc:
+            raise ResultsParseError(f"config header is not valid JSON ({exc})") from None
+        if not isinstance(config_data, dict):
+            raise ResultsParseError("config header must be a JSON object")
+        if headers["scheme"] == SCHEME_ALAMOUTI and "code_paths" not in config_data:
+            # Files from before code_paths: alamouti-sf meant the depth-one
+            # code, run with exhaustive ML whatever the decoder flag said, and
+            # the config carried an unused rotation angle.
+            config_data.update(code_paths=1, rotation_angles=[])
+            headers["decoder_mode"] = EXHAUSTIVE
+        config = config_from_dict(config_data)
         spec = SweepSpec(
             config=config,
             snr_db_points=tuple(float(s) for s in headers["snr_db_points"].split(",")),

@@ -1,14 +1,15 @@
-"""Transmission schemes the Monte Carlo harness can sweep.
+"""The transmission scheme the Monte Carlo harness sweeps, and its baselines.
 
-Each scheme maps a bit block to per-state transmit amplitudes and back.  The
-baselines keep the same per-entry transmit energy and per-state rate as the
-rotated code so BER comparisons are like for like:
+``QosfScheme`` maps a bit block to per-state transmit amplitudes and back
+with the rotated quasi-orthogonal code.  The baselines are configurations of
+that same code over state 0's channel, so they keep the per-entry transmit
+energy and the per-state rate and BER comparisons are like for like:
 
-* ``QosfScheme`` is the rotated quasi-orthogonal code itself (any P).
-* ``p1_variant`` derives the single-state configuration for the same code,
-  the classic quasi-orthogonal space-frequency baseline.
-* ``AlamoutiSfScheme`` sends one Alamouti block per subcarrier pair with no
-  rotation and no multipath stacking, so it has spatial diversity only.
+* ``p1_variant``: the single-state code, the classic quasi-orthogonal
+  space-frequency baseline.
+* ``alamouti_variant``: the single-state, depth-one code, which is
+  Alamouti-SF (one Alamouti block per subcarrier pair, no rotation, no
+  multipath stacking), so it has spatial diversity only.
 """
 
 from __future__ import annotations
@@ -18,10 +19,10 @@ import dataclasses
 import numpy as np
 
 from .channel import ChannelFrequencyGrid, ReceivedBlock
-from .codec import NUM_TX, SfCodeword, encode
+from .codec import SfCodeword, encode
 from .config import SystemConfig
-from .core import BPSK, QPSK, bits_per_symbol, demodulate, modulate
-from .decoder import EXHAUSTIVE, decode, enumerate_symbol_tuples
+from .core import BPSK, QPSK, bits_per_symbol, modulate
+from .decoder import EXHAUSTIVE, decode
 
 # Rotation for the single-state code: the classic angle for each
 # constellation; both attain the optimizer's best product distance (the BPSK
@@ -30,7 +31,7 @@ P1_ANGLES = {BPSK: np.pi / 2, QPSK: np.pi / 4}
 
 
 class QosfScheme:
-    """Rotated quasi-orthogonal space-frequency code, any state count."""
+    """Rotated quasi-orthogonal space-frequency code, any state count and depth."""
 
     name = "qosf"
 
@@ -48,56 +49,6 @@ class QosfScheme:
 
     def decode_bits(self, received: ReceivedBlock, grid: ChannelFrequencyGrid) -> np.ndarray:
         return decode(received, grid, self.config, mode=self.decoder_mode)
-
-
-class AlamoutiSfScheme:
-    """One Alamouti block per subcarrier pair, single antenna state.
-
-    Subcarriers 2t and 2t+1 carry A(s_{2t+1}, s_{2t+2}); the decoder runs an
-    exhaustive per-pair search, which is ML because pairs do not interact.
-    """
-
-    name = "alamouti-sf"
-
-    def __init__(self, config: SystemConfig):
-        if config.num_states != 1:
-            raise ValueError("the Alamouti baseline uses a single antenna state")
-        if config.num_subcarriers % 2:
-            raise ValueError("need an even subcarrier count")
-        self.config = config
-
-    @property
-    def bits_per_block(self) -> int:
-        return self.config.num_subcarriers * bits_per_symbol(self.config.constellation)
-
-    def encode_bits(self, bits: np.ndarray) -> SfCodeword:
-        symbols = modulate(bits, self.config.constellation)
-        pairs = symbols.reshape(-1, 2)
-        states = np.empty((1, NUM_TX, self.config.num_subcarriers), dtype=complex)
-        states[0, 0, 0::2] = pairs[:, 0]
-        states[0, 1, 0::2] = pairs[:, 1]
-        states[0, 0, 1::2] = -np.conj(pairs[:, 1])
-        states[0, 1, 1::2] = np.conj(pairs[:, 0])
-        return SfCodeword(states=states, num_groups=pairs.shape[0])
-
-    def decode_bits(self, received: ReceivedBlock, grid: ChannelFrequencyGrid) -> np.ndarray:
-        cfg = self.config
-        pairs = cfg.num_subcarriers // 2
-        cands = enumerate_symbol_tuples(cfg.constellation, 2)  # [K, 2]
-        cw = np.empty((cands.shape[0], 2, NUM_TX), dtype=complex)
-        cw[:, 0, 0] = cands[:, 0]
-        cw[:, 0, 1] = cands[:, 1]
-        cw[:, 1, 0] = -np.conj(cands[:, 1])
-        cw[:, 1, 1] = np.conj(cands[:, 0])
-
-        h = grid.response[0].reshape(pairs, 2, cfg.num_rx, NUM_TX)
-        y = received.samples[0].reshape(pairs, 2, cfg.num_rx)
-        scale = np.sqrt(received.snr_linear / NUM_TX)
-        predicted = scale * np.einsum("tcji,kci->tkcj", h, cw)
-        diff = predicted - y[:, None, :, :]
-        metric = np.einsum("tkcj,tkcj->tk", diff, np.conj(diff)).real
-        best = np.argmin(metric, axis=1)
-        return demodulate(cands[best].ravel(), cfg.constellation)
 
 
 def p1_variant(config: SystemConfig, angle: float | None = None) -> SystemConfig:
@@ -118,15 +69,15 @@ def p1_variant(config: SystemConfig, angle: float | None = None) -> SystemConfig
 
 
 def alamouti_variant(config: SystemConfig) -> SystemConfig:
-    """Single-state configuration for the Alamouti baseline.
+    """Alamouti-SF: the single-state, depth-one code over state 0's channel.
 
-    The rotation angle is required by config validation but unused by the
-    scheme.
+    With P*L = 1 the combiner is the identity, so no rotation angle is left.
     """
     return dataclasses.replace(
         config,
         num_states=1,
-        rotation_angles=(0.0,),
+        code_paths=1,
+        rotation_angles=(),
         delays_s=(config.delays_s[0],),
         path_powers=(config.path_powers[0],),
     )

@@ -294,20 +294,21 @@ def _unit_symbol_gains(config, draws, seed):
     """Per-draw ||H c(e_k)||^2 / num_tx for every symbol position k of a group.
 
     c(e_k) is the group codeword carrying a unit symbol at position k and
-    zeros elsewhere.  Taps are drawn here from the configured profile, apart
-    from the program's channel module, and evaluated on the group's 2L tones
-    only: the response is wide-sense stationary across tones, so every group
-    sees the same statistics.  Returns an array of shape [draws, 2PL].
+    zeros elsewhere; L is the code's depth (code_paths).  Taps, num_paths per
+    state, are drawn here from the configured profile, apart from the
+    program's channel module, and evaluated on the group's 2L tones only: the
+    response is wide-sense stationary across tones, so every group sees the
+    same statistics.  Returns an array of shape [draws, 2PL].
     BPSK only: a real symbol scales c(e_k), a complex one does not (the
     Alamouti layout conjugates half the entries).
     """
     assert config.constellation == BPSK
     theta = build_theta(config.rotation_angles, config.pl)
     unit = group_codewords(
-        np.eye(config.symbols_per_group), theta, config.num_states, config.num_paths
+        np.eye(config.symbols_per_group), theta, config.num_states, config.code_paths
     )  # [K, P, 2L, num_tx]
     tones = np.arange(config.group_span)
-    delays = np.asarray(config.delays_s)[:, :, None]  # [P, L, 1]
+    delays = np.asarray(config.delays_s)[:, :, None]  # [P, taps, 1]
     twiddle = np.exp(-2j * np.pi * config.subcarrier_spacing_hz * delays * tones)
     sigma = np.sqrt(np.asarray(config.path_powers) / 2)[:, None, None, :]  # per real part
     rng = np.random.default_rng(seed)

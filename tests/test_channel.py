@@ -60,6 +60,7 @@ def test_response_phase_slope(small_config):
     cfg = dataclasses.replace(
         small_config,
         num_paths=1,
+        code_paths=1,
         delays_s=((3.2e-5,), (3.2e-5,)),
         path_powers=((1.0,), (1.0,)),
         rotation_angles=(np.pi / 2,),

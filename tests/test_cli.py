@@ -1,13 +1,17 @@
+import dataclasses
 import json
+import re
 
 import numpy as np
 import numpy.testing as npt
+import pytest
 from click.testing import CliRunner
 
 from qosf.cli import main
 from qosf.codec import encode, read_codeword
 from qosf.config import config_to_dict
-from qosf.core import BPSK, modulate
+from qosf.core import BPSK, QPSK, modulate
+from qosf.decoder import DECOUPLED, EXHAUSTIVE
 from qosf.harness import read_results
 
 
@@ -188,11 +192,138 @@ def test_report_rejects_duplicate_labels(tmp_path, small_config):
     assert result.exit_code == 2
 
 
-def test_report_rejects_corrupt_file(tmp_path, small_config):
+@pytest.mark.parametrize(
+    "corrupt,message",
+    [
+        (lambda text: text.replace("snr_db,bits,errors,ber", "who,knows"), "column header"),
+        # The last data row (line 15) with no bits, negative errors, or more
+        # errors than bits.
+        (lambda text: _replace_last_row(text, "4.0,0,0,0.00000e+00"), "line 15"),
+        (lambda text: _replace_last_row(text, "4.0,320,-1,0.00000e+00"), "line 15"),
+        (lambda text: _replace_last_row(text, "4.0,320,375,1.17188e+00"), "line 15"),
+        (lambda text: re.sub("(?m)^# config: .*$", "# config: [1, 2]", text), "config header"),
+        (lambda text: re.sub("(?m)^# config: .*$", '# config: {"num_paths": 2', text),
+         "config header"),
+    ],
+    ids=["column-header", "zero-bits", "negative-errors", "errors-over-bits",
+         "config-not-object", "config-not-json"],
+)
+def test_report_rejects_corrupt_file(tmp_path, small_config, corrupt, message):
     a = _make_results(tmp_path, small_config, "proposed", "a.csv")
     bad = tmp_path / "bad.csv"
-    bad.write_text(a.read_text().replace("snr_db,bits,errors,ber", "who,knows"))
+    bad.write_text(corrupt(a.read_text()))
     result = CliRunner().invoke(
         main, ["report", str(bad), "--plot-out", str(tmp_path / "p.tsv")]
     )
+    assert result.exit_code == 2, result.output
+    assert message in result.output
+
+
+def _replace_last_row(text, row):
+    lines = text.rstrip("\n").split("\n")
+    return "\n".join(lines[:-1] + [row]) + "\n"
+
+
+# Data rows of `qosf simulate --scenario alamouti-sf --snr 0,4,8 --max-blocks 40`
+# on small_config, written by the former separate Alamouti scheme.  The
+# depth-one code must reproduce them exactly.
+ALAMOUTI_ROWS = {
+    BPSK: [
+        "0.0,320,47,1.46875e-01",
+        "4.0,320,22,6.87500e-02",
+        "8.0,320,3,9.37500e-03",
+    ],
+    QPSK: [
+        "0.0,640,135,2.10938e-01",
+        "4.0,640,83,1.29688e-01",
+        "8.0,640,29,4.53125e-02",
+    ],
+}
+
+# A whole alamouti-sf results file in the format written before the config
+# had code_paths: the depth-one code is implied by the scheme, and the unused
+# rotation angle is present.
+OLD_ALAMOUTI_FILE = """\
+# scenario: alamouti-sf
+# scheme: alamouti-sf
+# decoder_mode: exhaustive
+# snr_db_points: 0.0,4.0,8.0
+# min_bit_errors: 200
+# max_ofdm_blocks: 40
+# noiseless: false
+# independent_streams: false
+# master_seed: 0
+# code_version: 0.1.0
+# config: {"constellation": "bpsk", "cp_len": 2, "delays_s": [[0.0, 3.2e-05]], \
+"master_seed": 0, "num_paths": 2, "num_rx": 1, "num_states": 1, "num_subcarriers": 8, \
+"num_tx": 2, "path_powers": [[0.5, 0.5]], "rotation_angles": [0.0], \
+"symbol_duration_s": 0.000128}
+snr_db,bits,errors,ber
+0.0,320,47,1.46875e-01
+4.0,320,22,6.87500e-02
+8.0,320,3,9.37500e-03
+"""
+
+
+@pytest.mark.parametrize("constellation", [BPSK, QPSK])
+def test_simulate_alamouti_rows_pinned(tmp_path, small_config, constellation):
+    cfg = dataclasses.replace(small_config, constellation=constellation)
+    cfg_path = _write_config(tmp_path, cfg)
+    out = tmp_path / "al.csv"
+    result = CliRunner().invoke(
+        main,
+        ["simulate", "--config", cfg_path, "--scenario", "alamouti-sf",
+         "--snr", "0,4,8", "--max-blocks", "40", "--out", str(out)],
+    )
+    assert result.exit_code == 0, result.output
+    text = out.read_text()
+    assert text.split("snr_db,bits,errors,ber\n")[1].splitlines() == ALAMOUTI_ROWS[constellation]
+    config = read_results(out).spec.config
+    assert (config.num_states, config.code_paths, config.num_paths) == (1, 1, 2)
+    assert config.rotation_angles == ()
+
+
+@pytest.mark.parametrize("decoder", [EXHAUSTIVE, DECOUPLED])
+def test_old_alamouti_results_file_loads(tmp_path, decoder):
+    # The former scheme ran exhaustive ML whatever the decoder flag said, so
+    # an old file labelled decoupled loads as what actually produced it.
+    path = tmp_path / "old.csv"
+    path.write_text(OLD_ALAMOUTI_FILE.replace("decoder_mode: exhaustive", f"decoder_mode: {decoder}"))
+    result = read_results(path)
+    config = result.spec.config
+    assert (config.num_states, config.code_paths, config.num_paths) == (1, 1, 2)
+    assert config.rotation_angles == ()
+    assert result.spec.scheme == "alamouti-sf"
+    assert result.spec.decoder_mode == EXHAUSTIVE
+    assert [(p.snr_db, p.bits_simulated, p.bit_errors) for p in result.points] == [
+        (0.0, 320, 47), (4.0, 320, 22), (8.0, 320, 3)]
+
+    plot = tmp_path / "plot.tsv"
+    report = CliRunner().invoke(main, ["report", str(path), "--plot-out", str(plot)])
+    assert report.exit_code == 0, report.output
+    assert "alamouti-sf: diversity_order=1.494 snr_at_ber_1e-3=NA" in report.output
+    assert plot.read_text().splitlines()[1:] == [
+        "0.0\t1.46875e-01", "4.0\t6.87500e-02", "8.0\t9.37500e-03"]
+
+
+def test_simulate_rejects_alamouti_with_decoupled_decoder(tmp_path, small_config):
+    cfg_path = _write_config(tmp_path, small_config)
+    out = tmp_path / "al.csv"
+    result = CliRunner().invoke(
+        main,
+        ["simulate", "--config", cfg_path, "--scenario", "alamouti-sf",
+         "--decoder", "decoupled", "--snr", "0", "--out", str(out)],
+    )
     assert result.exit_code == 2
+    assert "alamouti-sf" in result.output and "exhaustive" in result.output
+    assert not out.exists()
+
+
+def test_simulate_rejects_non_integer_workers_env(tmp_path, small_config, monkeypatch):
+    monkeypatch.setenv("QOSF_WORKERS", "2.5")
+    cfg_path = _write_config(tmp_path, small_config)
+    result = CliRunner().invoke(
+        main, ["simulate", "--config", cfg_path, "--snr", "0", "--out", str(tmp_path / "o")]
+    )
+    assert result.exit_code == 2
+    assert "QOSF_WORKERS" in result.output

@@ -5,13 +5,11 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
+from oracles import alamouti, combine, encode_group
 from qosf.codec import (
     SfCodeword,
-    alamouti,
     build_theta,
-    combine,
     encode,
-    encode_group,
     group_codewords,
     read_codeword,
     write_codeword,

@@ -123,3 +123,32 @@ def test_angles_accept_plain_floats():
     cfg = SystemConfig(rotation_angles=[0.1, 0.2, 0.3])
     assert cfg.rotation_angles == (0.1, 0.2, 0.3)
     assert isinstance(cfg.rotation_angles, tuple)
+
+
+def test_code_paths_defaults_to_num_paths():
+    data = config_to_dict(SystemConfig())
+    assert data["code_paths"] == 2
+    del data["code_paths"]
+    assert config_from_dict(data).code_paths == 2
+    assert SystemConfig(
+        num_paths=3, num_subcarriers=96, delays_s=(0.0, 5e-6, 1e-5),
+        path_powers=(0.5, 0.25, 0.25), code_paths=2,
+    ).code_paths == 2
+
+
+def test_code_depth_sets_layout_channel_keeps_taps():
+    # Depth one over the two-tap channel: one Alamouti block per tone pair.
+    cfg = SystemConfig(num_states=1, code_paths=1, rotation_angles=(),
+                       delays_s=(0.0, 2e-5), path_powers=(0.5, 0.5))
+    assert cfg.num_paths == 2 and len(cfg.delays_s[0]) == 2
+    assert (cfg.pl, cfg.group_span, cfg.num_groups, cfg.symbols_per_group) == (1, 2, 64, 2)
+    with pytest.raises(ConfigError, match="rotation angles"):
+        dataclasses.replace(cfg, rotation_angles=(0.0,))
+    with pytest.raises(SubcarrierMultipleError, match="code_paths"):
+        dataclasses.replace(cfg, num_subcarriers=127)
+
+
+@pytest.mark.parametrize("code_paths", [0, 3])
+def test_rejects_code_paths_outside_tap_count(code_paths):
+    with pytest.raises(ConfigError, match="code_paths"):
+        SystemConfig(code_paths=code_paths)

@@ -5,15 +5,9 @@ import pytest
 from qosf.channel import ChannelFrequencyGrid, apply, draw_channel, frequency_response
 from qosf.codec import build_theta, encode
 from qosf.core import BPSK, QPSK, CapExceededError, demodulate, modulate
-from qosf.decoder import (
-    DECOUPLED,
-    EXHAUSTIVE,
-    decode,
-    decoupled_ml_decode_group,
-    enumerate_symbol_tuples,
-    group_observation,
-    ml_decode_group,
-)
+from oracles import GROUP_DECODERS, decoupled_ml_decode_group, group_observation, ml_decode_group
+from qosf.decoder import DECOUPLED, EXHAUSTIVE, decode, enumerate_symbol_tuples
+from qosf.schemes import alamouti_variant
 
 
 def _transmit(cfg, rng, snr_linear=10.0, noiseless=False, grid=None):
@@ -60,19 +54,21 @@ def test_group_observation_slices_window(small_config):
 
 def test_batched_decode_matches_group_decoder(small_config):
     # decode() runs one vectorized search over all groups; it must agree
-    # bit for bit with the straightforward per-group routine.
+    # bit for bit with the straightforward per-group routine, also for the
+    # depth-one code (Alamouti-SF) over the two-tap channel.
     rng = np.random.default_rng(3)
-    for mode, group_fn in ((EXHAUSTIVE, ml_decode_group), (DECOUPLED, decoupled_ml_decode_group)):
-        for _ in range(20):
-            bits, received, grid = _transmit(small_config, rng, snr_linear=3.0)
-            fast = decode(received, grid, small_config, mode=mode)
-            theta = build_theta(small_config.rotation_angles, small_config.pl)
-            slow = []
-            for g in range(small_config.num_groups):
-                obs = group_observation(received, grid, small_config, g)
-                symbols = group_fn(obs, theta, small_config.constellation)
-                slow.append(demodulate(symbols, small_config.constellation))
-            npt.assert_array_equal(fast, np.concatenate(slow))
+    for cfg in (small_config, alamouti_variant(small_config)):
+        theta = build_theta(cfg.rotation_angles, cfg.pl)
+        for mode, group_fn in GROUP_DECODERS.items():
+            for _ in range(20):
+                bits, received, grid = _transmit(cfg, rng, snr_linear=3.0)
+                fast = decode(received, grid, cfg, mode=mode)
+                slow = []
+                for g in range(cfg.num_groups):
+                    obs = group_observation(received, grid, cfg, g)
+                    symbols = group_fn(obs, theta, cfg.constellation)
+                    slow.append(demodulate(symbols, cfg.constellation))
+                npt.assert_array_equal(fast, np.concatenate(slow))
 
 
 def test_ml_matches_brute_force(tiny_config):
@@ -129,6 +125,9 @@ def test_search_cap(small_config):
     _, received, grid = _transmit(small_config, rng)
     with pytest.raises(CapExceededError):
         decode(received, grid, small_config, cap=10)
+    with pytest.raises(CapExceededError):
+        decode(received, grid, small_config, mode=DECOUPLED, cap=15)
+    decode(received, grid, small_config, mode=DECOUPLED, cap=16)
     theta = build_theta(small_config.rotation_angles, small_config.pl)
     obs = group_observation(received, grid, small_config, 0)
     with pytest.raises(CapExceededError):

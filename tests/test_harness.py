@@ -3,6 +3,8 @@ import dataclasses
 import numpy as np
 import pytest
 
+from qosf import harness
+from qosf.decoder import DECOUPLED
 from qosf.harness import (
     SCHEME_ALAMOUTI,
     BerPoint,
@@ -23,7 +25,7 @@ from qosf.harness import (
     snr_at_ber,
     write_results,
 )
-from qosf.schemes import AlamoutiSfScheme, QosfScheme, alamouti_variant
+from qosf.schemes import QosfScheme, alamouti_variant, p1_variant
 
 
 def _tiny_spec(cfg, **kw):
@@ -56,17 +58,28 @@ def test_spec_normalizes_points(small_config):
         dict(scheme="vblast"),
         dict(scenario_label=""),
         dict(scenario_label="two\nlines"),
+        # The alamouti-sf label needs the single-state, depth-one code and
+        # the exhaustive decoder; "variant" maps small_config to the config.
+        dict(scheme=SCHEME_ALAMOUTI),
+        dict(variant=p1_variant, scheme=SCHEME_ALAMOUTI),
+        dict(variant=alamouti_variant, scheme=SCHEME_ALAMOUTI, decoder_mode=DECOUPLED),
     ],
 )
 def test_spec_rejects_bad_values(small_config, kw):
+    kw = dict(kw)
+    config = kw.pop("variant", lambda cfg: cfg)(small_config)
     with pytest.raises(InvalidSpecError):
-        SweepSpec(config=small_config, **kw)
+        SweepSpec(config=config, **kw)
 
 
 def test_build_scheme_dispatch(small_config):
+    # Every label runs the one code; the config selects the scenario.
     assert isinstance(build_scheme(SweepSpec(config=small_config)), QosfScheme)
     al = SweepSpec(config=alamouti_variant(small_config), scheme=SCHEME_ALAMOUTI)
-    assert isinstance(build_scheme(al), AlamoutiSfScheme)
+    scheme = build_scheme(al)
+    assert isinstance(scheme, QosfScheme)
+    assert scheme.config.code_paths == 1 and scheme.config.num_paths == 2
+    assert scheme.bits_per_block == small_config.num_subcarriers
 
 
 def test_ber_point_validation():
@@ -157,6 +170,48 @@ def test_default_worker_count_env(monkeypatch):
         default_worker_count()
     monkeypatch.delenv("QOSF_WORKERS")
     assert default_worker_count() >= 1
+
+
+class _RecordingPool:
+    """Stands in for ProcessPoolExecutor: records max_workers, maps in process."""
+
+    created = []
+
+    def __init__(self, max_workers):
+        self.created.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, iterable):
+        return map(fn, iterable)
+
+
+@pytest.fixture
+def recording_pool(monkeypatch):
+    monkeypatch.setattr(_RecordingPool, "created", [])
+    monkeypatch.setattr(harness.concurrent.futures, "ProcessPoolExecutor", _RecordingPool)
+    return _RecordingPool
+
+
+def test_run_sweep_clamps_pool_to_point_count(small_config, recording_pool):
+    spec = _tiny_spec(small_config, snr_db_points=tuple(range(11)), max_ofdm_blocks=1)
+    result = run_sweep(spec, workers=5000)
+    assert recording_pool.created == [11]
+    assert result == run_sweep(spec, workers=1)
+    assert recording_pool.created == [11]
+    with pytest.raises(ValueError, match="workers"):
+        run_sweep(spec, workers=0)
+
+
+def test_run_sweep_rejects_non_integer_env(small_config, recording_pool, monkeypatch):
+    monkeypatch.setenv("QOSF_WORKERS", "two")
+    with pytest.raises(ValueError, match="QOSF_WORKERS"):
+        run_sweep(_tiny_spec(small_config))
+    assert recording_pool.created == []
 
 
 # --- curve analysis ------------------------------------------------------

@@ -5,12 +5,7 @@ import pytest
 from qosf.channel import apply, draw_channel, frequency_response
 from qosf.core import BPSK, QPSK
 from qosf.decoder import DECOUPLED
-from qosf.schemes import (
-    AlamoutiSfScheme,
-    QosfScheme,
-    alamouti_variant,
-    p1_variant,
-)
+from qosf.schemes import QosfScheme, alamouti_variant, p1_variant
 
 
 def test_p1_variant_shape(small_config):
@@ -38,9 +33,16 @@ def test_p1_variant_explicit_angle(small_config):
 
 
 def test_alamouti_variant_shape(small_config):
+    # Alamouti-SF is the single-state, depth-one code over the same 2-tap
+    # channel: no rotation angle is left to set.
     cfg = alamouti_variant(small_config)
     assert cfg.num_states == 1
-    assert cfg.rotation_angles == (0.0,)
+    assert cfg.code_paths == 1 and cfg.pl == 1
+    assert cfg.rotation_angles == ()
+    assert cfg.num_paths == small_config.num_paths
+    assert cfg.delays_s == (small_config.delays_s[0],)
+    assert cfg.path_powers == (small_config.path_powers[0],)
+    assert cfg.num_groups == small_config.num_subcarriers // 2
 
 
 def test_qosf_scheme_round_trip(small_config):
@@ -66,7 +68,7 @@ def test_qosf_scheme_decoupled_mode(small_config):
 
 def test_alamouti_scheme_round_trip(small_config):
     cfg = alamouti_variant(small_config)
-    scheme = AlamoutiSfScheme(cfg)
+    scheme = QosfScheme(cfg)
     assert scheme.bits_per_block == 8
     rng = np.random.default_rng(2)
     for _ in range(20):
@@ -79,8 +81,9 @@ def test_alamouti_scheme_round_trip(small_config):
 
 
 def test_alamouti_pair_structure(small_config):
+    # Subcarriers 2t and 2t+1 carry the Alamouti block of symbols 2t, 2t+1.
     cfg = alamouti_variant(small_config)
-    scheme = AlamoutiSfScheme(cfg)
+    scheme = QosfScheme(cfg)
     bits = np.array([0, 1, 1, 0, 0, 0, 1, 1])
     states = scheme.encode_bits(bits).states
     s = (1.0 - 2.0 * bits).astype(complex)
@@ -95,15 +98,10 @@ def test_schemes_share_transmit_energy(small_config):
     rng = np.random.default_rng(3)
     qosf_cw = QosfScheme(small_config).encode_bits(rng.integers(0, 2, 16))
     al_cfg = alamouti_variant(small_config)
-    al_cw = AlamoutiSfScheme(al_cfg).encode_bits(rng.integers(0, 2, 8))
+    al_cw = QosfScheme(al_cfg).encode_bits(rng.integers(0, 2, 8))
     per_state_qosf = np.sum(np.abs(qosf_cw.states) ** 2) / small_config.num_states
     per_state_al = np.sum(np.abs(al_cw.states) ** 2)
     assert per_state_qosf == pytest.approx(per_state_al, abs=1e-9)
-
-
-def test_alamouti_scheme_requires_single_state(small_config):
-    with pytest.raises(ValueError):
-        AlamoutiSfScheme(small_config)
 
 
 def test_bpsk_bits_per_block_matches_rate_one(small_config):
