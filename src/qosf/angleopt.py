@@ -15,8 +15,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .codec import build_theta
-from .core import CapExceededError, constellation_points, hadamard, is_power_of_two
+from .codec import rotation_phases
+from .core import CapExceededError, constellation_points, hadamard, is_power_of_two, product_rows
 
 MIN_PRODUCT_DISTANCE = "min_product_distance"
 MIN_COMPONENT_EUCLIDEAN = "min_component_euclidean"
@@ -60,8 +60,7 @@ def difference_vectors(constellation: str, pl: int) -> np.ndarray:
             f"difference enumeration for {constellation} at pl={pl} needs "
             f"{len(comp) ** pl} vectors; not supported"
         )
-    grids = np.meshgrid(*([comp] * pl), indexing="ij")
-    vecs = np.stack([g.ravel() for g in grids], axis=1)
+    vecs = product_rows(comp, pl)
     vecs = vecs[np.any(vecs != 0, axis=1)]
     vecs.flags.writeable = False
     return vecs
@@ -86,17 +85,13 @@ def _batch_metric(angle_rows: np.ndarray, constellation: str, pl: int, metric_na
         diffs = _single_position_vectors(constellation, pl)
     else:
         raise ValueError(f"unknown metric {metric_name!r}")
-    u = hadamard(pl).astype(float)
     n = angle_rows.shape[0]
     out = np.empty(n)
     chunk = max(1, 4_000_000 // (diffs.shape[0] * pl))
     for start in range(0, n, chunk):
-        rows = angle_rows[start : start + chunk]
-        phases = np.concatenate(
-            [np.ones((rows.shape[0], 1)), np.exp(1j * rows)], axis=1
-        )
-        # v[n, d, k] = sum_m U[k, m] * phases[n, m] * diffs[d, m]
-        v = (diffs[None, :, :] * phases[:, None, :]) @ u.T
+        phases = rotation_phases(angle_rows[start : start + chunk], pl)
+        # v[n, d, k] = sum_m H[k, m] * phases[n, m] * diffs[d, m]
+        v = (diffs[None, :, :] * phases[:, None, :]) @ hadamard(pl).T
         mags = np.abs(v)
         if metric_name == MIN_PRODUCT_DISTANCE:
             out[start : start + chunk] = mags.prod(axis=2).min(axis=1)
@@ -122,9 +117,6 @@ def coding_gain_metric(
         raise ValueError(f"pl must be a power of two, got {pl}")
     if angles.shape != (pl - 1,):
         raise ValueError(f"expected {pl - 1} angles, got {angles.shape}")
-    # build_theta validates the same preconditions; calling it keeps the
-    # metric consistent with the encoder's matrix construction.
-    build_theta(angles, pl)
     return float(_batch_metric(angles[None, :], constellation, pl, metric_name)[0])
 
 
@@ -146,19 +138,16 @@ def optimize_angles(
         raise ValueError(f"pl must be a power of two, got {pl}")
     if metric_name not in METRIC_NAMES:
         raise ValueError(f"unknown metric {metric_name!r}")
-    steps = np.pi / resolution
+    # Any step that is not a positive angle of at most pi becomes nan here.
+    steps = np.pi / resolution if 0 < resolution <= np.pi else np.nan
+    if not np.isfinite(steps) or abs(steps - round(steps)) > 1e-9:
+        raise ValueError(f"resolution {resolution} must be positive and divide pi")
     n = int(round(steps))
-    if n < 1 or abs(steps - n) > 1e-9:
-        raise ValueError(f"resolution {resolution} must divide pi")
     num_axes = pl - 1
     total = n ** num_axes
     if total > cap:
-        raise CapExceededError(
-            f"grid search needs {total} evaluations, cap is {cap}"
-        )
-    axis = np.arange(n) * resolution
-    mesh = np.meshgrid(*([axis] * num_axes), indexing="ij")
-    rows = np.stack([g.ravel() for g in mesh], axis=1)
+        raise CapExceededError(f"grid search needs {total} evaluations, cap is {cap}")
+    rows = product_rows(np.arange(n) * resolution, num_axes)
     metrics = _batch_metric(rows, constellation, pl, metric_name)
     best_idx = int(np.argmax(metrics))
     best = rows[best_idx].copy()

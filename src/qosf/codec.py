@@ -29,7 +29,6 @@ class SfCodeword:
     """
 
     states: np.ndarray
-    num_groups: int
 
     @property
     def num_states(self) -> int:
@@ -40,17 +39,30 @@ class SfCodeword:
         return self.states.shape[2]
 
 
+def rotation_phases(angles, pl: int) -> np.ndarray:
+    """Theta's diagonal (1, e^{j*a1}, ..., e^{j*a_{pl-1}}) for one tuple of
+    pl - 1 angles, or for a batch [..., pl - 1] of them as [..., pl]."""
+    angles = np.asarray(angles, dtype=float)
+    if angles.shape[-1:] != (pl - 1,):
+        raise ValueError(f"expected {pl - 1} rotation angles, got {angles.shape}")
+    return np.concatenate([np.ones(angles.shape[:-1] + (1,)), np.exp(1j * angles)], axis=-1)
+
+
 def build_theta(angles, pl: int) -> np.ndarray:
     """Combining matrix: Hadamard times a diagonal of unit phasors.
 
-    theta = H(pl) @ diag(1, e^{j*a1}, ..., e^{j*a_{pl-1}}), so that
+    theta = H(pl) @ diag(rotation_phases(angles, pl)), so that
     theta^H @ theta = pl * I for any angle choice.
     """
-    angles = np.asarray(angles, dtype=float)
-    if angles.shape != (pl - 1,):
-        raise ValueError(f"expected {pl - 1} rotation angles, got {angles.shape}")
-    phases = np.concatenate(([1.0 + 0.0j], np.exp(1j * angles)))
-    return hadamard(pl) * phases[None, :]
+    return hadamard(pl) * rotation_phases(angles, pl)[..., None, :]
+
+
+def group_windows(per_tone: np.ndarray, config: SystemConfig) -> np.ndarray:
+    """[M, P, 2L, ...] view of a [P, Nc, ...] per-tone array: group m's window
+    is tones [m*2L, (m+1)*2L) of every state, and padding tones are left out."""
+    m, span = config.num_groups, config.group_span
+    windows = per_tone[:, : m * span].reshape(per_tone.shape[0], m, span, *per_tone.shape[2:])
+    return windows.swapaxes(0, 1)
 
 
 def group_codewords(groups, theta: np.ndarray, num_states: int, code_paths: int) -> np.ndarray:
@@ -90,26 +102,19 @@ def encode(symbols, config: SystemConfig) -> SfCodeword:
     group m occupies subcarriers [m*2L, (m+1)*2L) in every state.
     """
     symbols = np.asarray(symbols, dtype=complex)
-    p, el = config.num_states, config.code_paths
-    m = config.num_groups
+    p, el, m = config.num_states, config.code_paths, config.num_groups
     expected = m * config.symbols_per_group
     if symbols.shape != (expected,):
         raise ValueError(
             f"expected {expected} symbols ({m} groups of {config.symbols_per_group}), "
             f"got {symbols.shape}"
         )
-    if config.num_tx != NUM_TX:
-        raise ValueError("encoding is only defined for two transmit antennas")
-
     theta = build_theta(config.rotation_angles, config.pl)
-    blocks = group_codewords(symbols.reshape(m, config.symbols_per_group), theta, p, el)
     states = np.zeros((p, NUM_TX, config.num_subcarriers), dtype=complex)
-    # blocks is [group, state, local subcarrier, antenna]; concatenate groups
-    # along the subcarrier axis, leaving any trailing columns as zero padding.
-    states[:, :, : m * config.group_span] = blocks.transpose(1, 3, 0, 2).reshape(
-        p, NUM_TX, m * config.group_span
+    group_windows(states.swapaxes(1, 2), config)[...] = group_codewords(
+        symbols.reshape(m, config.symbols_per_group), theta, p, el
     )
-    return SfCodeword(states=states, num_groups=m)
+    return SfCodeword(states=states)
 
 
 # Text serialization --------------------------------------------------------

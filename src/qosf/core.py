@@ -1,4 +1,4 @@
-"""Shared numeric primitives: Hadamard matrices, constellations, bit mapping.
+"""Shared primitives: Hadamard matrices, constellations, bit labels, tuple order.
 
 Everything here is a pure function of its inputs; callers may use these
 concurrently without synchronization.
@@ -18,8 +18,6 @@ _CONSTELLATIONS = {
     BPSK: np.array([1.0 + 0.0j, -1.0 + 0.0j]),
     QPSK: np.array([1 + 1j, 1 - 1j, -1 + 1j, -1 - 1j]) / np.sqrt(2.0),
 }
-
-_BITS_PER_SYMBOL = {BPSK: 1, QPSK: 2}
 
 
 class NotPowerOfTwoError(ValueError):
@@ -47,8 +45,19 @@ def constellation_points(constellation: str) -> np.ndarray:
 
 
 def bits_per_symbol(constellation: str) -> int:
-    constellation_points(constellation)
-    return _BITS_PER_SYMBOL[constellation]
+    return constellation_points(constellation).size.bit_length() - 1
+
+
+def product_rows(values, length: int) -> np.ndarray:
+    """Every length-tuple over values, one per row, in lexicographic order.
+
+    Row r spells r in base len(values) with the first position as the most
+    significant digit, so ties resolved by np.argmin pick the smallest tuple.
+    """
+    values = np.asarray(values)
+    q = values.size
+    weights = q ** np.arange(length - 1, -1, -1)
+    return values[(np.arange(q ** length)[:, None] // weights) % q]
 
 
 def hadamard(order: int) -> np.ndarray:
@@ -82,8 +91,7 @@ def modulate(bits, constellation: str) -> np.ndarray:
     k = bits_per_symbol(constellation)
     if bits.size % k != 0:
         raise OddBitCountError(f"{constellation} needs a multiple of {k} bits, got {bits.size}")
-    labels = bits.reshape(-1, k) @ (1 << np.arange(k - 1, -1, -1))
-    return points[labels]
+    return points[bits.reshape(-1, k) @ (1 << np.arange(k - 1, -1, -1))]
 
 
 def demodulate(symbols, constellation: str) -> np.ndarray:
@@ -94,12 +102,15 @@ def demodulate(symbols, constellation: str) -> np.ndarray:
     """
     symbols = np.asarray(symbols, dtype=complex)
     points = constellation_points(constellation)
-    k = bits_per_symbol(constellation)
     # argmin returns the first minimal index, which is the tie rule we want.
-    labels = np.argmin(np.abs(symbols[:, None] - points[None, :]), axis=1)
-    shifts = np.arange(k - 1, -1, -1)
-    bits = (labels[:, None] >> shifts[None, :]) & 1
-    return bits.reshape(-1).astype(np.int64)
+    return labels_to_bits(np.argmin(np.abs(symbols[:, None] - points[None, :]), axis=1),
+                          constellation)
+
+
+def labels_to_bits(labels, constellation: str) -> np.ndarray:
+    """Bit stream of an array of point indices, most significant bit first."""
+    shifts = np.arange(bits_per_symbol(constellation) - 1, -1, -1)
+    return ((np.asarray(labels)[..., None] >> shifts) & 1).reshape(-1).astype(np.int64)
 
 
 def complex_normal(rng: np.random.Generator, shape, variance: float = 1.0) -> np.ndarray:

@@ -352,19 +352,29 @@ def read_results(path) -> SweepResult:
             config_data.update(code_paths=1, rotation_angles=[])
             headers["decoder_mode"] = EXHAUSTIVE
         config = config_from_dict(config_data)
+
+        def parse(key, convert):
+            value = headers[key]
+            try:
+                return convert(value)
+            except (KeyError, ValueError):
+                raise ResultsParseError(f"header {key!r}: bad value {value!r}") from None
+
+        flag = {"true": True, "false": False}.__getitem__
+
         spec = SweepSpec(
             config=config,
-            snr_db_points=tuple(float(s) for s in headers["snr_db_points"].split(",")),
-            min_bit_errors=int(headers["min_bit_errors"]),
-            max_ofdm_blocks=int(headers["max_ofdm_blocks"]),
+            snr_db_points=parse("snr_db_points", lambda v: tuple(map(float, v.split(",")))),
+            min_bit_errors=parse("min_bit_errors", int),
+            max_ofdm_blocks=parse("max_ofdm_blocks", int),
             decoder_mode=headers["decoder_mode"],
             scenario_label=headers["scenario"],
             scheme=headers["scheme"],
-            noiseless=headers["noiseless"] == "true",
-            independent_streams=headers["independent_streams"] == "true",
+            noiseless=parse("noiseless", flag),
+            independent_streams=parse("independent_streams", flag),
         )
         version = headers["code_version"]
-        seed = int(headers["master_seed"])
+        seed = parse("master_seed", int)
     except KeyError as exc:
         raise ResultsParseError(f"missing header {exc.args[0]!r}") from None
     return SweepResult(spec=spec, points=points, code_version=version, master_seed=seed)

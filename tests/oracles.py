@@ -10,8 +10,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from qosf.core import CapExceededError, constellation_points
-from qosf.decoder import DECOUPLED, DEFAULT_SEARCH_CAP, EXHAUSTIVE, enumerate_symbol_tuples
+from qosf.core import CapExceededError, constellation_points, product_rows
+from qosf.decoder import DECOUPLED, DEFAULT_SEARCH_CAP, EXHAUSTIVE
 
 NUM_TX = 2
 
@@ -125,7 +125,7 @@ def ml_decode_group(obs: GroupObservation, theta, constellation: str,
     count = q ** (2 * num_states * code_paths)
     if count > cap:
         raise CapExceededError(f"exhaustive search needs {count} candidates, cap is {cap}")
-    symbols = enumerate_symbol_tuples(constellation, 2 * num_states * code_paths)
+    symbols = product_rows(constellation_points(constellation), 2 * num_states * code_paths)
     codewords = _codewords(symbols, theta, num_states, code_paths)
     return symbols[int(np.argmin(group_metric(obs, codewords)))].copy()
 
@@ -146,7 +146,7 @@ def decoupled_ml_decode_group(obs: GroupObservation, theta, constellation: str,
     q = len(constellation_points(constellation))
     if q ** pl > cap:
         raise CapExceededError(f"decoupled search needs {q ** pl} candidates per half, cap is {cap}")
-    active = enumerate_symbol_tuples(constellation, pl)
+    active = product_rows(constellation_points(constellation), pl)
     out = np.empty(2 * pl, dtype=complex)
     for offset in (0, 1):
         symbols = np.zeros((active.shape[0], 2 * pl), dtype=complex)

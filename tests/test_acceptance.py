@@ -21,8 +21,8 @@ from qosf.channel import ChannelFrequencyGrid, ReceivedBlock, apply, draw_channe
 from qosf.cli import main as cli_main
 from qosf.codec import build_theta, encode, group_codewords
 from qosf.config import config_to_dict
-from qosf.core import BPSK, QPSK, modulate
-from qosf.decoder import DECOUPLED, EXHAUSTIVE, decode, enumerate_symbol_tuples
+from qosf.core import BPSK, QPSK, constellation_points, modulate, product_rows
+from qosf.decoder import DECOUPLED, EXHAUSTIVE, decode
 from qosf.angleopt import coding_gain_metric, optimize_angles
 from qosf.harness import (
     SCHEME_ALAMOUTI,
@@ -228,7 +228,7 @@ def test_criterion_05_ml_optimality(capsys):
     # the channel model and keep the smallest residual.
     trials = 10_000
     rng = np.random.default_rng(99)
-    tuples = enumerate_symbol_tuples(BPSK, 4)
+    tuples = product_rows(constellation_points(BPSK), 4)
     cands = np.stack(
         [encode(t, CFG_PAIR).states for t in tuples]
     )  # [16, P, num_tx, Nc]

@@ -149,11 +149,34 @@ def test_optimize_angles_cap_exit_code():
     assert result.exit_code == 3
 
 
-def test_optimize_angles_bad_resolution():
+@pytest.mark.parametrize("resolution", ["1.0", "0", "-0.0", "nan", "inf"])
+def test_optimize_angles_bad_resolution(resolution):
     result = CliRunner().invoke(
-        main, ["optimize-angles", "--pl", "2", "--resolution", "1.0"]
+        main, ["optimize-angles", "--pl", "2", "--resolution", resolution]
     )
     assert result.exit_code == 2
+    assert "resolution" in result.output and "Traceback" not in result.output
+
+
+# `qosf optimize-angles --pl 4 --constellation qpsk --resolution pi/12`: a
+# near-tie case, where computing the rotated differences in another product
+# order lands on a different optimum.
+QPSK_PL4_REPORT = """\
+metric_name: min_product_distance
+metric_value: 1.2906354564366056
+best_angles: 1.0995574287564274, 2.38237442897226, 1.8587756533739608
+grid_resolution: 0.2617993877991494
+evaluations: 1791
+"""
+
+
+def test_optimize_angles_qpsk_pl4_pinned():
+    result = CliRunner().invoke(
+        main, ["optimize-angles", "--pl", "4", "--constellation", "qpsk",
+               "--resolution", str(np.pi / 12)]
+    )
+    assert result.exit_code == 0, result.output
+    assert result.output == QPSK_PL4_REPORT
 
 
 def _make_results(tmp_path, small_config, label, name):
@@ -204,9 +227,19 @@ def test_report_rejects_duplicate_labels(tmp_path, small_config):
         (lambda text: re.sub("(?m)^# config: .*$", "# config: [1, 2]", text), "config header"),
         (lambda text: re.sub("(?m)^# config: .*$", '# config: {"num_paths": 2', text),
          "config header"),
+        # Header values that do not parse, and booleans other than true/false.
+        (lambda text: re.sub("(?m)^# master_seed: .*$", "# master_seed: abc", text),
+         "header 'master_seed'"),
+        (lambda text: re.sub("(?m)^# snr_db_points: .*$", "# snr_db_points: 0.0,x", text),
+         "header 'snr_db_points'"),
+        (lambda text: re.sub("(?m)^# noiseless: .*$", "# noiseless: yes", text),
+         "header 'noiseless'"),
+        (lambda text: re.sub("(?m)^# independent_streams: .*$", "# independent_streams: 1", text),
+         "header 'independent_streams'"),
     ],
     ids=["column-header", "zero-bits", "negative-errors", "errors-over-bits",
-         "config-not-object", "config-not-json"],
+         "config-not-object", "config-not-json", "seed-not-int", "snr-not-float",
+         "noiseless-not-bool", "independent-not-bool"],
 )
 def test_report_rejects_corrupt_file(tmp_path, small_config, corrupt, message):
     a = _make_results(tmp_path, small_config, "proposed", "a.csv")
@@ -224,20 +257,31 @@ def _replace_last_row(text, row):
     return "\n".join(lines[:-1] + [row]) + "\n"
 
 
-# Data rows of `qosf simulate --scenario alamouti-sf --snr 0,4,8 --max-blocks 40`
-# on small_config, written by the former separate Alamouti scheme.  The
-# depth-one code must reproduce them exactly.
-ALAMOUTI_ROWS = {
-    BPSK: [
-        "0.0,320,47,1.46875e-01",
-        "4.0,320,22,6.87500e-02",
-        "8.0,320,3,9.37500e-03",
-    ],
-    QPSK: [
-        "0.0,640,135,2.10938e-01",
-        "4.0,640,83,1.29688e-01",
-        "8.0,640,29,4.53125e-02",
-    ],
+# Data rows of `qosf simulate --snr 0,4,8 --max-blocks 40` on small_config for
+# every scenario, decoder and constellation; alamouti-sf takes only the
+# exhaustive decoder.  The alamouti-sf rows were written by the former
+# separate Alamouti scheme, and the depth-one code must reproduce them exactly.
+PINNED_ROWS = {
+    ("proposed", EXHAUSTIVE, BPSK):
+        ["0.0,640,83,1.29688e-01", "4.0,640,9,1.40625e-02", "8.0,640,0,0.00000e+00"],
+    ("proposed", EXHAUSTIVE, QPSK):
+        ["0.0,1056,204,1.93182e-01", "4.0,1280,129,1.00781e-01", "8.0,1280,28,2.18750e-02"],
+    ("proposed", DECOUPLED, BPSK):
+        ["0.0,640,101,1.57812e-01", "4.0,640,21,3.28125e-02", "8.0,640,9,1.40625e-02"],
+    ("proposed", DECOUPLED, QPSK):
+        ["0.0,1056,204,1.93182e-01", "4.0,1280,177,1.38281e-01", "8.0,1280,95,7.42188e-02"],
+    ("qosf-p1", EXHAUSTIVE, BPSK):
+        ["0.0,320,33,1.03125e-01", "4.0,320,8,2.50000e-02", "8.0,320,3,9.37500e-03"],
+    ("qosf-p1", EXHAUSTIVE, QPSK):
+        ["0.0,640,134,2.09375e-01", "4.0,640,84,1.31250e-01", "8.0,640,15,2.34375e-02"],
+    ("qosf-p1", DECOUPLED, BPSK):
+        ["0.0,320,35,1.09375e-01", "4.0,320,14,4.37500e-02", "8.0,320,6,1.87500e-02"],
+    ("qosf-p1", DECOUPLED, QPSK):
+        ["0.0,640,137,2.14062e-01", "4.0,640,90,1.40625e-01", "8.0,640,49,7.65625e-02"],
+    ("alamouti-sf", EXHAUSTIVE, BPSK):
+        ["0.0,320,47,1.46875e-01", "4.0,320,22,6.87500e-02", "8.0,320,3,9.37500e-03"],
+    ("alamouti-sf", EXHAUSTIVE, QPSK):
+        ["0.0,640,135,2.10938e-01", "4.0,640,83,1.29688e-01", "8.0,640,29,4.53125e-02"],
 }
 
 # A whole alamouti-sf results file in the format written before the config
@@ -265,22 +309,25 @@ snr_db,bits,errors,ber
 """
 
 
-@pytest.mark.parametrize("constellation", [BPSK, QPSK])
-def test_simulate_alamouti_rows_pinned(tmp_path, small_config, constellation):
+@pytest.mark.parametrize("scenario,decoder,constellation", list(PINNED_ROWS),
+                         ids=["-".join(key) for key in PINNED_ROWS])
+def test_simulate_rows_pinned(tmp_path, small_config, scenario, decoder, constellation):
     cfg = dataclasses.replace(small_config, constellation=constellation)
     cfg_path = _write_config(tmp_path, cfg)
-    out = tmp_path / "al.csv"
+    out = tmp_path / "rows.csv"
     result = CliRunner().invoke(
         main,
-        ["simulate", "--config", cfg_path, "--scenario", "alamouti-sf",
+        ["simulate", "--config", cfg_path, "--scenario", scenario, "--decoder", decoder,
          "--snr", "0,4,8", "--max-blocks", "40", "--out", str(out)],
     )
     assert result.exit_code == 0, result.output
     text = out.read_text()
-    assert text.split("snr_db,bits,errors,ber\n")[1].splitlines() == ALAMOUTI_ROWS[constellation]
-    config = read_results(out).spec.config
-    assert (config.num_states, config.code_paths, config.num_paths) == (1, 1, 2)
-    assert config.rotation_angles == ()
+    assert text.split("snr_db,bits,errors,ber\n")[1].splitlines() == PINNED_ROWS[
+        scenario, decoder, constellation]
+    if scenario == "alamouti-sf":
+        config = read_results(out).spec.config
+        assert (config.num_states, config.code_paths, config.num_paths) == (1, 1, 2)
+        assert config.rotation_angles == ()
 
 
 @pytest.mark.parametrize("decoder", [EXHAUSTIVE, DECOUPLED])

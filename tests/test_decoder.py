@@ -4,9 +4,11 @@ import pytest
 
 from qosf.channel import ChannelFrequencyGrid, apply, draw_channel, frequency_response
 from qosf.codec import build_theta, encode
-from qosf.core import BPSK, QPSK, CapExceededError, demodulate, modulate
+from qosf.core import (
+    BPSK, QPSK, CapExceededError, constellation_points, demodulate, modulate, product_rows,
+)
 from oracles import GROUP_DECODERS, decoupled_ml_decode_group, group_observation, ml_decode_group
-from qosf.decoder import DECOUPLED, EXHAUSTIVE, decode, enumerate_symbol_tuples
+from qosf.decoder import DECOUPLED, EXHAUSTIVE, decode
 from qosf.schemes import alamouti_variant
 
 
@@ -20,9 +22,11 @@ def _transmit(cfg, rng, snr_linear=10.0, noiseless=False, grid=None):
 
 
 def test_enumerate_symbol_tuples_lexicographic():
-    tuples = enumerate_symbol_tuples(BPSK, 2)
+    # The decoder's candidate order: every tuple of constellation points,
+    # first position most significant.
+    tuples = product_rows(constellation_points(BPSK), 2)
     npt.assert_array_equal(tuples, [[1, 1], [1, -1], [-1, 1], [-1, -1]])
-    assert enumerate_symbol_tuples(QPSK, 3).shape == (64, 3)
+    assert product_rows(constellation_points(QPSK), 3).shape == (64, 3)
 
 
 def test_noiseless_recovery(small_config):
@@ -76,7 +80,7 @@ def test_ml_matches_brute_force(tiny_config):
     # channel by hand, pick the smallest residual.
     rng = np.random.default_rng(4)
     theta = build_theta(tiny_config.rotation_angles, tiny_config.pl)
-    tuples = enumerate_symbol_tuples(BPSK, 4)
+    tuples = product_rows(constellation_points(BPSK), 4)
     for _ in range(100):
         bits, received, grid = _transmit(tiny_config, rng, snr_linear=2.0)
         obs = group_observation(received, grid, tiny_config, 0)
