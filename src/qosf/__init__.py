@@ -8,15 +8,14 @@ configurations of the same code.
 
 from .channel import (
     ChannelFrequencyGrid,
-    ChannelRealization,
     ReceivedBlock,
     apply,
     draw_channel,
     frequency_response,
 )
-from .codec import SfCodeword, build_theta, encode, read_codeword, write_codeword
+from .codec import SfCodeword, build_theta, encode, write_codeword
 from .config import ConfigError, SystemConfig, config_from_dict, config_to_dict, load_config
-from .core import BPSK, QPSK, CapExceededError, demodulate, hadamard, modulate
+from .core import BPSK, QPSK, CapExceededError, hadamard, modulate
 from .decoder import DECOUPLED, EXHAUSTIVE, decode
 from .angleopt import AngleSearchReport, coding_gain_metric, optimize_angles
 from .harness import (
@@ -40,7 +39,6 @@ __all__ = [
     "BerPoint",
     "CapExceededError",
     "ChannelFrequencyGrid",
-    "ChannelRealization",
     "ConfigError",
     "DECOUPLED",
     "EXHAUSTIVE",
@@ -58,7 +56,6 @@ __all__ = [
     "config_from_dict",
     "config_to_dict",
     "decode",
-    "demodulate",
     "draw_channel",
     "emit_plot_data",
     "encode",
@@ -69,7 +66,6 @@ __all__ = [
     "modulate",
     "optimize_angles",
     "p1_variant",
-    "read_codeword",
     "read_results",
     "run_point",
     "run_sweep",

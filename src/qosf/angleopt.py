@@ -144,9 +144,11 @@ def optimize_angles(
         raise ValueError(f"resolution {resolution} must be positive and divide pi")
     n = int(round(steps))
     num_axes = pl - 1
+    # n ** num_axes can run to thousands of digits.  Any n >= 2 passes the
+    # cap within cap.bit_length() axes, so a power that small decides it.
+    if n ** min(num_axes, cap.bit_length()) > cap:
+        raise CapExceededError(f"grid search needs {n}**{num_axes} evaluations, cap is {cap}")
     total = n ** num_axes
-    if total > cap:
-        raise CapExceededError(f"grid search needs {total} evaluations, cap is {cap}")
     rows = product_rows(np.arange(n) * resolution, num_axes)
     metrics = _batch_metric(rows, constellation, pl, metric_name)
     best_idx = int(np.argmax(metrics))

@@ -2,8 +2,7 @@
 
 The link is simulated directly per subcarrier; with quasi-static fading and a
 cyclic prefix covering the delay spread this is exactly equivalent to the
-time-domain CP/FFT chain, which :func:`validate_against_time_domain`
-demonstrates via a DFT identity.
+time-domain CP/FFT chain (the tests check it against a DFT of the taps).
 """
 
 from __future__ import annotations
@@ -15,19 +14,6 @@ import numpy as np
 from .codec import SfCodeword
 from .config import SystemConfig
 from .core import complex_normal
-
-
-class NonIntegerDelayError(ValueError):
-    """A tap delay is not an integer number of sample periods."""
-
-
-@dataclass
-class ChannelRealization:
-    """Complex tap amplitudes, shape (P, num_rx, num_tx, L), plus the profile."""
-
-    taps: np.ndarray
-    delays_s: tuple
-    path_powers: tuple
 
 
 @dataclass
@@ -45,8 +31,8 @@ class ReceivedBlock:
     snr_linear: float
 
 
-def draw_channel(config: SystemConfig, rng: np.random.Generator) -> ChannelRealization:
-    """Draw one quasi-static realization.
+def draw_channel(config: SystemConfig, rng: np.random.Generator) -> np.ndarray:
+    """Draw one quasi-static realization: complex taps, shape (P, num_rx, num_tx, L).
 
     Taps are independent zero-mean circular Gaussians across state, antenna
     pair and path, with per-path variance from the configured power profile.
@@ -55,18 +41,17 @@ def draw_channel(config: SystemConfig, rng: np.random.Generator) -> ChannelReali
     taps = complex_normal(rng, shape)
     sigma = np.sqrt(np.asarray(config.path_powers))  # [P, L]
     taps *= sigma[:, None, None, :]
-    return ChannelRealization(taps=taps, delays_s=config.delays_s, path_powers=config.path_powers)
+    return taps
 
 
-def frequency_response(
-    realization: ChannelRealization, config: SystemConfig
-) -> ChannelFrequencyGrid:
-    """Evaluate H_p(n) = sum_l alpha_l * exp(-j 2 pi n df tau_l) on every tone."""
+def frequency_response(taps: np.ndarray, config: SystemConfig) -> ChannelFrequencyGrid:
+    """Evaluate H_p(n) = sum_l alpha_l * exp(-j 2 pi n df tau_l) on every tone,
+    with the delays tau_l of the config's profile."""
     n = np.arange(config.num_subcarriers)
-    delays = np.asarray(realization.delays_s)  # [P, L]
+    delays = np.asarray(config.delays_s)  # [P, L]
     # [P, L, Nc] twiddle factors; delta_f * tau in units of cycles per tone.
     phase = np.exp(-2j * np.pi * config.subcarrier_spacing_hz * delays[:, :, None] * n)
-    response = np.einsum("pjil,pln->pnji", realization.taps, phase)
+    response = np.einsum("pjil,pln->pnji", taps, phase)
     return ChannelFrequencyGrid(response=response)
 
 
@@ -94,32 +79,3 @@ def apply(
     if not noiseless:
         signal = signal + complex_normal(rng, signal.shape)
     return ReceivedBlock(samples=signal, snr_linear=float(snr_linear))
-
-
-def validate_against_time_domain(
-    realization: ChannelRealization, config: SystemConfig
-) -> float:
-    """Max deviation between the tone-wise response and a DFT of the taps.
-
-    Places each tap at its integer sample index in a length-Nc impulse
-    response and compares the Nc-point DFT against frequency_response.
-    Requires every delay to be an integer multiple of the sample period.
-    """
-    nc = config.num_subcarriers
-    sample = config.sample_period_s
-    delays = np.asarray(realization.delays_s)
-    positions = delays / sample
-    rounded = np.rint(positions)
-    if np.any(np.abs(positions - rounded) > 1e-6):
-        raise NonIntegerDelayError(
-            f"delays {delays.tolist()} are not integer multiples of {sample} s"
-        )
-    if np.any(rounded >= nc):
-        raise NonIntegerDelayError("delay exceeds the OFDM symbol length")
-    grid = frequency_response(realization, config)
-    impulse = np.zeros((config.num_states, config.num_rx, config.num_tx, nc), dtype=complex)
-    for p in range(config.num_states):
-        for l, k in enumerate(rounded[p].astype(int)):
-            impulse[p, :, :, k] += realization.taps[p, :, :, l]
-    dft = np.fft.fft(impulse, axis=-1)  # [P, Mr, Mt, Nc]
-    return float(np.max(np.abs(np.moveaxis(dft, -1, 1) - grid.response)))

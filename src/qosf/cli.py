@@ -63,7 +63,8 @@ def encode_cmd(config_path, bits_path, out_path):
     symbols = modulate(bits, config.constellation)
     codeword = encode(symbols, config)
     write_codeword(codeword, out_path)
-    click.echo(f"wrote {codeword.num_states} states x {codeword.num_subcarriers} tones to {out_path}")
+    states, _, tones = codeword.states.shape
+    click.echo(f"wrote {states} states x {tones} tones to {out_path}")
 
 
 def _parse_snr(text: str) -> tuple:
@@ -145,8 +146,8 @@ def optimize_angles_cmd(pl, metric, resolution, constellation):
 def report_cmd(results, plot_out, window):
     """Merge results files into plot data and print per-scenario summaries."""
     loaded = [harness.read_results(path) for path in results]
-    harness.emit_plot_data(loaded, plot_out)
-    click.echo(f"wrote plot data for {len(loaded)} scenarios to {plot_out}")
+    # Summaries first, so a bad --window fails before the plot file is written.
+    summaries = []
     for result in loaded:
         label = result.spec.scenario_label
         try:
@@ -157,7 +158,10 @@ def report_cmd(results, plot_out, window):
             crossing = f"{harness.snr_at_ber(result.points, 1e-3):.2f} dB"
         except harness.InsufficientDataError:
             crossing = "NA"
-        click.echo(f"{label}: diversity_order={order} snr_at_ber_1e-3={crossing}")
+        summaries.append(f"{label}: diversity_order={order} snr_at_ber_1e-3={crossing}")
+    harness.emit_plot_data(loaded, plot_out)
+    click.echo(f"wrote plot data for {len(loaded)} scenarios to {plot_out}")
+    click.echo("\n".join(summaries))
 
 
 if __name__ == "__main__":

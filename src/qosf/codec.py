@@ -30,14 +30,6 @@ class SfCodeword:
 
     states: np.ndarray
 
-    @property
-    def num_states(self) -> int:
-        return self.states.shape[0]
-
-    @property
-    def num_subcarriers(self) -> int:
-        return self.states.shape[2]
-
 
 def rotation_phases(angles, pl: int) -> np.ndarray:
     """Theta's diagonal (1, e^{j*a1}, ..., e^{j*a_{pl-1}}) for one tuple of
@@ -126,32 +118,9 @@ def _format_complex(z: complex) -> str:
     return f"{re!r}{sign}{abs(im)!r}j"
 
 
-def write_codeword(codeword: SfCodeword, fh) -> None:
+def write_codeword(codeword: SfCodeword, path) -> None:
     """One line per (state, antenna) pair, comma-separated "re+imj" entries."""
-    close = False
-    if isinstance(fh, (str, bytes)) or hasattr(fh, "__fspath__"):
-        fh = open(fh, "w")
-        close = True
-    try:
+    with open(path, "w") as fh:
         for state in codeword.states:
             for row in state:
                 fh.write(",".join(_format_complex(z) for z in row) + "\n")
-    finally:
-        if close:
-            fh.close()
-
-
-def read_codeword(path, num_tx: int = NUM_TX) -> np.ndarray:
-    """Parse a codeword dump back into a (P, num_tx, Nc) array."""
-    with open(path) as fh:
-        rows = [
-            np.array([complex(tok) for tok in line.split(",")])
-            for line in fh
-            if line.strip()
-        ]
-    if not rows or len(rows) % num_tx != 0:
-        raise ValueError(f"expected a multiple of {num_tx} non-empty lines")
-    widths = {row.size for row in rows}
-    if len(widths) != 1:
-        raise ValueError("all lines must have the same number of entries")
-    return np.array(rows).reshape(len(rows) // num_tx, num_tx, rows[0].size)

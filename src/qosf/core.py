@@ -94,31 +94,18 @@ def modulate(bits, constellation: str) -> np.ndarray:
     return points[bits.reshape(-1, k) @ (1 << np.arange(k - 1, -1, -1))]
 
 
-def demodulate(symbols, constellation: str) -> np.ndarray:
-    """Nearest-point hard decision, inverse of :func:`modulate` on exact points.
-
-    Distance ties go to the point that comes first in the constellation's
-    enumeration order, so the decision is deterministic.
-    """
-    symbols = np.asarray(symbols, dtype=complex)
-    points = constellation_points(constellation)
-    # argmin returns the first minimal index, which is the tie rule we want.
-    return labels_to_bits(np.argmin(np.abs(symbols[:, None] - points[None, :]), axis=1),
-                          constellation)
-
-
 def labels_to_bits(labels, constellation: str) -> np.ndarray:
     """Bit stream of an array of point indices, most significant bit first."""
     shifts = np.arange(bits_per_symbol(constellation) - 1, -1, -1)
     return ((np.asarray(labels)[..., None] >> shifts) & 1).reshape(-1).astype(np.int64)
 
 
-def complex_normal(rng: np.random.Generator, shape, variance: float = 1.0) -> np.ndarray:
-    """Zero-mean circular complex Gaussian samples, total variance per sample.
+def complex_normal(rng: np.random.Generator, shape) -> np.ndarray:
+    """Zero-mean circular complex Gaussian samples of unit variance.
 
     Real and imaginary parts are interleaved in the underlying draw so that a
     leading-dimension prefix of a larger request reproduces the smaller
     request exactly (used for common-random-number pairing across scenarios).
     """
     raw = rng.standard_normal(size=(*tuple(shape), 2))
-    return (raw[..., 0] + 1j * raw[..., 1]) * np.sqrt(variance / 2.0)
+    return (raw[..., 0] + 1j * raw[..., 1]) * np.sqrt(0.5)

@@ -73,6 +73,9 @@ class SweepSpec:
         object.__setattr__(self, "snr_db_points", points)
         if not points:
             raise InvalidSpecError("need at least one SNR point")
+        for s in points:
+            if not np.isfinite(s):
+                raise InvalidSpecError(f"SNR point {s!r} dB is not finite")
         if any(later <= earlier for earlier, later in zip(points, points[1:])):
             raise InvalidSpecError("SNR points must be strictly increasing")
         if self.min_bit_errors < 1:
@@ -101,26 +104,27 @@ class BerPoint:
     snr_db: float
     bits_simulated: int
     bit_errors: int
-    ber: float
 
     def __post_init__(self):
-        if self.bits_simulated <= 0:
-            raise ValueError("bits_simulated must be positive")
-        if not 0.0 <= self.ber <= 1.0:
-            raise ValueError(f"ber {self.ber} outside [0, 1]")
+        self.snr_db = float(self.snr_db)
+        if self.bits_simulated <= 0 or not 0 <= self.bit_errors <= self.bits_simulated:
+            raise ValueError(
+                f"{self.bit_errors} errors in {self.bits_simulated} bits; need bits > 0 "
+                "and 0 <= errors <= bits"
+            )
 
-    @classmethod
-    def from_counts(cls, snr_db: float, bits: int, errors: int) -> "BerPoint":
-        return cls(snr_db=float(snr_db), bits_simulated=bits, bit_errors=errors,
-                   ber=errors / bits)
+    @property
+    def ber(self) -> float:
+        return self.bit_errors / self.bits_simulated
 
 
 @dataclass
 class SweepResult:
+    """A finished sweep; the master seed is spec.config.master_seed."""
+
     spec: SweepSpec
     points: list
     code_version: str
-    master_seed: int
     wall_time_s: float = field(default=0.0, compare=False)
 
 
@@ -175,7 +179,7 @@ def run_point(spec: SweepSpec, snr_db: float, snr_index: int) -> BerPoint:
         errors += int(np.count_nonzero(decoded != bits))
         bits_total += bits.size
         block += 1
-    return BerPoint.from_counts(snr_db, bits_total, errors)
+    return BerPoint(snr_db, bits_total, errors)
 
 
 def _point_task(args):
@@ -217,7 +221,6 @@ def run_sweep(spec: SweepSpec, workers: int | None = None) -> SweepResult:
         spec=spec,
         points=points,
         code_version=__version__,
-        master_seed=spec.config.master_seed,
         wall_time_s=time.perf_counter() - start,
     )
 
@@ -228,6 +231,8 @@ def estimate_diversity_order(points, window: int = 3) -> float:
     Fits the highest-SNR `window` points that have nonzero BER; steeper decay
     means higher diversity order.
     """
+    if window < 2:
+        raise ValueError(f"window {window} is too small; a slope fit needs at least 2 points")
     usable = [p for p in points if p.ber > 0]
     usable = usable[-window:]
     if len(usable) < 2:
@@ -276,7 +281,7 @@ def _header_pairs(result: SweepResult):
         ("max_ofdm_blocks", str(spec.max_ofdm_blocks)),
         ("noiseless", str(spec.noiseless).lower()),
         ("independent_streams", str(spec.independent_streams).lower()),
-        ("master_seed", str(result.master_seed)),
+        ("master_seed", str(spec.config.master_seed)),
         ("code_version", result.code_version),
         ("config", json.dumps(config_to_dict(spec.config), sort_keys=True)),
     ]
@@ -324,18 +329,10 @@ def read_results(path) -> SweepResult:
             if len(cells) != 4:
                 raise ResultsParseError(f"line {lineno}: expected 4 columns, got {len(cells)}")
             try:
-                snr = float(cells[0])
-                bits = int(cells[1])
-                errors = int(cells[2])
                 float(cells[3])
+                points.append(BerPoint(float(cells[0]), int(cells[1]), int(cells[2])))
             except ValueError as exc:
                 raise ResultsParseError(f"line {lineno}: {exc}") from None
-            if bits <= 0 or not 0 <= errors <= bits:
-                raise ResultsParseError(
-                    f"line {lineno}: {errors} errors in {bits} bits; need bits > 0 "
-                    "and 0 <= errors <= bits"
-                )
-            points.append(BerPoint.from_counts(snr, bits, errors))
     if not saw_csv_header:
         raise ResultsParseError("line 0: truncated file, no column header")
     try:
@@ -377,7 +374,16 @@ def read_results(path) -> SweepResult:
         seed = parse("master_seed", int)
     except KeyError as exc:
         raise ResultsParseError(f"missing header {exc.args[0]!r}") from None
-    return SweepResult(spec=spec, points=points, code_version=version, master_seed=seed)
+    if seed != config.master_seed:
+        raise ResultsParseError(
+            f"header 'master_seed': {seed} disagrees with the config header's {config.master_seed}"
+        )
+    if spec.snr_db_points != tuple(p.snr_db for p in points):
+        raise ResultsParseError(
+            f"header 'snr_db_points': {headers['snr_db_points']} disagrees with the SNRs "
+            "of the data rows"
+        )
+    return SweepResult(spec=spec, points=points, code_version=version)
 
 
 def emit_plot_data(results, path) -> None:

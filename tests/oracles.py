@@ -3,14 +3,18 @@
 The program encodes and decodes every group of a block in one vectorized
 pass.  These are the straightforward scalar versions: one group, one state,
 one Alamouti block at a time, and a decoder that forms every predicted
-observation.  Tests check the batched paths against them.
+observation.  Tests check the batched paths against them.  The module also
+holds the inverses the program never needs: a nearest-point symbol
+demodulator, a codeword-dump reader, and a time-domain check of the channel's
+frequency response.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from qosf.core import CapExceededError, constellation_points, product_rows
+from qosf.channel import frequency_response
+from qosf.core import CapExceededError, constellation_points, labels_to_bits, product_rows
 from qosf.decoder import DECOUPLED, DEFAULT_SEARCH_CAP, EXHAUSTIVE
 
 NUM_TX = 2
@@ -161,3 +165,63 @@ GROUP_DECODERS = {
     EXHAUSTIVE: ml_decode_group,
     DECOUPLED: decoupled_ml_decode_group,
 }
+
+
+def demodulate(symbols, constellation: str) -> np.ndarray:
+    """Nearest-point hard decision, inverse of modulate on exact points.
+
+    Distance ties go to the point that comes first in the constellation's
+    enumeration order, so the decision is deterministic.
+    """
+    symbols = np.asarray(symbols, dtype=complex)
+    points = constellation_points(constellation)
+    # argmin returns the first minimal index, which is the tie rule we want.
+    return labels_to_bits(np.argmin(np.abs(symbols[:, None] - points[None, :]), axis=1),
+                          constellation)
+
+
+def read_codeword(path) -> np.ndarray:
+    """Parse a write_codeword dump back into a (P, num_tx, Nc) array."""
+    with open(path) as fh:
+        rows = [
+            np.array([complex(tok) for tok in line.split(",")])
+            for line in fh
+            if line.strip()
+        ]
+    if not rows or len(rows) % NUM_TX != 0:
+        raise ValueError(f"expected a multiple of {NUM_TX} non-empty lines")
+    widths = {row.size for row in rows}
+    if len(widths) != 1:
+        raise ValueError("all lines must have the same number of entries")
+    return np.array(rows).reshape(len(rows) // NUM_TX, NUM_TX, rows[0].size)
+
+
+class NonIntegerDelayError(ValueError):
+    """A tap delay is not an integer number of sample periods."""
+
+
+def validate_against_time_domain(taps: np.ndarray, config) -> float:
+    """Max deviation between the tone-wise response and a DFT of the taps.
+
+    Places each tap at its integer sample index in a length-Nc impulse
+    response and compares the Nc-point DFT against frequency_response.
+    Requires every delay to be an integer multiple of the sample period.
+    """
+    nc = config.num_subcarriers
+    sample = config.sample_period_s
+    delays = np.asarray(config.delays_s)
+    positions = delays / sample
+    rounded = np.rint(positions)
+    if np.any(np.abs(positions - rounded) > 1e-6):
+        raise NonIntegerDelayError(
+            f"delays {delays.tolist()} are not integer multiples of {sample} s"
+        )
+    if np.any(rounded >= nc):
+        raise NonIntegerDelayError("delay exceeds the OFDM symbol length")
+    grid = frequency_response(taps, config)
+    impulse = np.zeros((config.num_states, config.num_rx, config.num_tx, nc), dtype=complex)
+    for p in range(config.num_states):
+        for l, k in enumerate(rounded[p].astype(int)):
+            impulse[p, :, :, k] += taps[p, :, :, l]
+    dft = np.fft.fft(impulse, axis=-1)  # [P, Mr, Mt, Nc]
+    return float(np.max(np.abs(np.moveaxis(dft, -1, 1) - grid.response)))

@@ -4,14 +4,8 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from qosf.channel import (
-    ChannelFrequencyGrid,
-    NonIntegerDelayError,
-    apply,
-    draw_channel,
-    frequency_response,
-    validate_against_time_domain,
-)
+from oracles import NonIntegerDelayError, validate_against_time_domain
+from qosf.channel import ChannelFrequencyGrid, apply, draw_channel, frequency_response
 from qosf.codec import encode
 from qosf.core import BPSK, modulate
 
@@ -24,15 +18,14 @@ def _block(cfg, rng):
 def test_draw_channel_shape_and_determinism(small_config):
     a = draw_channel(small_config, np.random.default_rng(3))
     b = draw_channel(small_config, np.random.default_rng(3))
-    assert a.taps.shape == (2, 1, 2, 2)
-    npt.assert_array_equal(a.taps, b.taps)
-    assert a.delays_s == small_config.delays_s
+    assert a.shape == (2, 1, 2, 2)
+    npt.assert_array_equal(a, b)
 
 
 def test_tap_power_profile(small_config):
     cfg = dataclasses.replace(small_config, path_powers=(0.8, 0.2))
     rng = np.random.default_rng(11)
-    taps = np.stack([draw_channel(cfg, rng).taps for _ in range(4000)])
+    taps = np.stack([draw_channel(cfg, rng) for _ in range(4000)])
     var = np.mean(np.abs(taps) ** 2, axis=0)
     npt.assert_allclose(var[..., 0], 0.8, atol=0.05)
     npt.assert_allclose(var[..., 1], 0.2, atol=0.03)
@@ -40,7 +33,7 @@ def test_tap_power_profile(small_config):
 
 def test_states_independent(small_config):
     rng = np.random.default_rng(12)
-    taps = np.stack([draw_channel(small_config, rng).taps for _ in range(6000)])
+    taps = np.stack([draw_channel(small_config, rng) for _ in range(6000)])
     s0 = taps[:, 0].reshape(len(taps), -1)
     s1 = taps[:, 1].reshape(len(taps), -1)
     cross = np.mean(s0 * np.conj(s1), axis=0)
@@ -69,7 +62,7 @@ def test_response_phase_slope(small_config):
     real = draw_channel(cfg, np.random.default_rng(8))
     grid = frequency_response(real, cfg)
     n = np.arange(8)
-    expected = real.taps[:, :, :, 0][:, None] * np.exp(-2j * np.pi * 2 * n / 8)[None, :, None, None]
+    expected = real[:, :, :, 0][:, None] * np.exp(-2j * np.pi * 2 * n / 8)[None, :, None, None]
     npt.assert_allclose(grid.response, expected, atol=1e-12)
 
 

@@ -8,7 +8,8 @@ import pytest
 from click.testing import CliRunner
 
 from qosf.cli import main
-from qosf.codec import encode, read_codeword
+from oracles import read_codeword
+from qosf.codec import encode
 from qosf.config import config_to_dict
 from qosf.core import BPSK, QPSK, modulate
 from qosf.decoder import DECOUPLED, EXHAUSTIVE
@@ -58,6 +59,63 @@ def test_encode_rejects_wrong_bit_count(tmp_path, small_config):
     assert result.exit_code == 2
 
 
+# Bit strings and the exact `qosf encode` dumps they give on small_config,
+# one line per (state, antenna) pair and one "re+imj" entry per tone.
+ENCODE_BITS = {BPSK: "0110100101010011", QPSK: "01101001010100111100100001110101"}
+PINNED_DUMPS = {
+    BPSK: [
+        ("-0.20710678118654754-0.49999999999999994j,-0.20710678118654754+0.49999999999999994j,"
+         "1.2071067811865475-0.5j,1.2071067811865475+0.5j,"
+         "1.2071067811865475+0.49999999999999994j,0.5-0.20710678118654752j,"
+         "-0.2071067811865475+0.5j,0.4999999999999999+1.2071067811865475j"),
+        ("0.20710678118654754+0.49999999999999994j,-0.20710678118654754+0.49999999999999994j,"
+         "-1.2071067811865475+0.5j,1.2071067811865475+0.5j,"
+         "-0.5-0.20710678118654752j,1.2071067811865475-0.49999999999999994j,"
+         "-0.4999999999999999+1.2071067811865475j,-0.2071067811865475-0.5j"),
+        ("0.5-0.20710678118654752j,0.5+0.20710678118654752j,"
+         "0.5+1.2071067811865475j,0.5-1.2071067811865475j,"
+         "0.5+0.20710678118654752j,1.2071067811865475-0.49999999999999994j,"
+         "0.4999999999999999-1.2071067811865475j,-0.2071067811865475-0.5j"),
+        ("-0.5+0.20710678118654752j,0.5+0.20710678118654752j,"
+         "-0.5-1.2071067811865475j,0.5-1.2071067811865475j,"
+         "-1.2071067811865475-0.49999999999999994j,0.5-0.20710678118654752j,"
+         "0.2071067811865475-0.5j,0.4999999999999999+1.2071067811865475j"),
+    ],
+    QPSK: [
+        ("-0.2928932188134524+5.551115123125783e-17j,-1.0+0.7071067811865475j,"
+         "1.7071067811865475-5.551115123125783e-17j,1.0+0.7071067811865476j,"
+         "-0.49999999999999994+0.5j,-0.7071067811865476+1.0j,"
+         "0.5-0.5j,-0.7071067811865475-1.0j"),
+        ("1.0+0.7071067811865475j,-0.2928932188134524-5.551115123125783e-17j,"
+         "-1.0+0.7071067811865476j,1.7071067811865475+5.551115123125783e-17j,"
+         "0.7071067811865476+1.0j,-0.49999999999999994-0.5j,"
+         "0.7071067811865475-1.0j,0.5+0.5j"),
+        ("-5.551115123125783e-17-0.7071067811865475j,0.7071067811865475+2.7755575615628914e-17j,"
+         "0.0-0.7071067811865475j,0.7071067811865475+0.0j,"
+         "-1.2071067811865475-1.2071067811865475j,-0.0+0.7071067811865475j,"
+         "-0.20710678118654752-0.20710678118654757j,-2.7755575615628914e-17+0.7071067811865475j"),
+        ("-0.7071067811865475+2.7755575615628914e-17j,-5.551115123125783e-17+0.7071067811865475j,"
+         "-0.7071067811865475+0.0j,0.0+0.7071067811865475j,"
+         "0.0+0.7071067811865475j,-1.2071067811865475+1.2071067811865475j,"
+         "2.7755575615628914e-17+0.7071067811865475j,-0.20710678118654752+0.20710678118654757j"),
+    ],
+}
+
+
+@pytest.mark.parametrize("constellation", [BPSK, QPSK])
+def test_encode_dump_pinned(tmp_path, small_config, constellation):
+    cfg_path = _write_config(tmp_path, dataclasses.replace(small_config, constellation=constellation))
+    (tmp_path / "bits.txt").write_text(ENCODE_BITS[constellation])
+    out = tmp_path / "codeword.txt"
+    result = CliRunner().invoke(
+        main,
+        ["encode", "--config", cfg_path, "--bits", str(tmp_path / "bits.txt"), "--out", str(out)],
+    )
+    assert result.exit_code == 0, result.output
+    assert result.output == f"wrote 2 states x 8 tones to {out}\n"
+    assert out.read_bytes() == "".join(line + "\n" for line in PINNED_DUMPS[constellation]).encode()
+
+
 def test_encode_missing_config(tmp_path):
     result = CliRunner().invoke(
         main,
@@ -80,7 +138,7 @@ def test_simulate_writes_parsable_results(tmp_path, small_config):
     parsed = read_results(out)
     assert [p.snr_db for p in parsed.points] == [0.0, 2.0]
     assert parsed.spec.scenario_label == "proposed"
-    assert parsed.master_seed == small_config.master_seed
+    assert parsed.spec.config.master_seed == small_config.master_seed
 
 
 def test_simulate_scenario_and_seed_override(tmp_path, small_config):
@@ -97,7 +155,7 @@ def test_simulate_scenario_and_seed_override(tmp_path, small_config):
     assert result.exit_code == 0, result.output
     parsed = read_results(out)
     assert parsed.spec.config.num_states == 1
-    assert parsed.master_seed == 123
+    assert parsed.spec.config.master_seed == 123
     assert parsed.spec.scenario_label == "qosf-p1"
 
 
@@ -124,6 +182,19 @@ def test_simulate_rejects_bad_snr_list(tmp_path, small_config):
     assert result.exit_code == 2
 
 
+@pytest.mark.parametrize("snr_text,bad", [("nan", "nan"), ("inf", "inf"), ("0,nan", "nan"),
+                                          ("-inf", "-inf")])
+def test_simulate_rejects_non_finite_snr(tmp_path, small_config, snr_text, bad):
+    cfg_path = _write_config(tmp_path, small_config)
+    out = tmp_path / "o"
+    result = CliRunner().invoke(
+        main, ["simulate", "--config", cfg_path, "--snr", snr_text, "--out", str(out)]
+    )
+    assert result.exit_code == 2, result.output
+    assert f"SNR point {bad} dB is not finite" in result.output
+    assert not out.exists()
+
+
 def test_simulate_rejects_unknown_scenario(tmp_path, small_config):
     cfg_path = _write_config(tmp_path, small_config)
     result = CliRunner().invoke(
@@ -147,6 +218,15 @@ def test_optimize_angles_cap_exit_code():
         main, ["optimize-angles", "--pl", "4", "--resolution", str(np.pi / 300)]
     )
     assert result.exit_code == 3
+
+
+@pytest.mark.parametrize("pl", ["2048", "4096", str(2 ** 22)])
+def test_optimize_angles_cap_with_huge_pl(pl):
+    # The grid would hold 36 ** (pl - 1) points; the cap check must not
+    # spell that number out.
+    result = CliRunner().invoke(main, ["optimize-angles", "--pl", pl])
+    assert result.exit_code == 3, result.output
+    assert result.output == f"error: grid search needs 36**{int(pl) - 1} evaluations, cap is 10000000\n"
 
 
 @pytest.mark.parametrize("resolution", ["1.0", "0", "-0.0", "nan", "inf"])
@@ -207,6 +287,17 @@ def test_report_summarizes_and_plots(tmp_path, small_config):
     assert header.split("\t") == ["snr_db", "proposed", "qosf-p1"]
 
 
+@pytest.mark.parametrize("window", ["0", "-1", "1"])
+def test_report_rejects_window_below_two(tmp_path, small_config, window):
+    a = _make_results(tmp_path, small_config, "proposed", "a.csv")
+    result = CliRunner().invoke(
+        main, ["report", str(a), "--plot-out", str(tmp_path / "p.tsv"), "--window", window]
+    )
+    assert result.exit_code == 2, result.output
+    assert f"window {window} is too small" in result.output
+    assert not (tmp_path / "p.tsv").exists()
+
+
 def test_report_rejects_duplicate_labels(tmp_path, small_config):
     a = _make_results(tmp_path, small_config, "proposed", "a.csv")
     result = CliRunner().invoke(
@@ -236,10 +327,15 @@ def test_report_rejects_duplicate_labels(tmp_path, small_config):
          "header 'noiseless'"),
         (lambda text: re.sub("(?m)^# independent_streams: .*$", "# independent_streams: 1", text),
          "header 'independent_streams'"),
+        # Headers that parse but disagree with the config header or the rows.
+        (lambda text: re.sub("(?m)^# master_seed: .*$", "# master_seed: 5", text),
+         "header 'master_seed': 5 disagrees with the config header's 0"),
+        (lambda text: re.sub("(?m)^# snr_db_points: .*$", "# snr_db_points: 0.0,2.0", text),
+         "header 'snr_db_points': 0.0,2.0 disagrees with the SNRs of the data rows"),
     ],
     ids=["column-header", "zero-bits", "negative-errors", "errors-over-bits",
          "config-not-object", "config-not-json", "seed-not-int", "snr-not-float",
-         "noiseless-not-bool", "independent-not-bool"],
+         "noiseless-not-bool", "independent-not-bool", "seed-not-config", "snr-not-rows"],
 )
 def test_report_rejects_corrupt_file(tmp_path, small_config, corrupt, message):
     a = _make_results(tmp_path, small_config, "proposed", "a.csv")

@@ -5,9 +5,11 @@ import pytest
 from qosf.channel import ChannelFrequencyGrid, apply, draw_channel, frequency_response
 from qosf.codec import build_theta, encode
 from qosf.core import (
-    BPSK, QPSK, CapExceededError, constellation_points, demodulate, modulate, product_rows,
+    BPSK, QPSK, CapExceededError, constellation_points, modulate, product_rows,
 )
-from oracles import GROUP_DECODERS, decoupled_ml_decode_group, group_observation, ml_decode_group
+from oracles import (
+    GROUP_DECODERS, decoupled_ml_decode_group, demodulate, group_observation, ml_decode_group,
+)
 from qosf.decoder import DECOUPLED, EXHAUSTIVE, decode
 from qosf.schemes import alamouti_variant
 

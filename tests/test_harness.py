@@ -35,7 +35,7 @@ def _tiny_spec(cfg, **kw):
 
 
 def _synthetic(pairs):
-    return [BerPoint.from_counts(s, 100_000, round(100_000 * b)) for s, b in pairs]
+    return [BerPoint(s, 100_000, round(100_000 * b)) for s, b in pairs]
 
 
 # --- spec validation -----------------------------------------------------
@@ -63,6 +63,11 @@ def test_spec_normalizes_points(small_config):
         dict(scheme=SCHEME_ALAMOUTI),
         dict(variant=p1_variant, scheme=SCHEME_ALAMOUTI),
         dict(variant=alamouti_variant, scheme=SCHEME_ALAMOUTI, decoder_mode=DECOUPLED),
+        # Non-finite SNR points, which the strictly-increasing check lets through.
+        dict(snr_db_points=(float("nan"),)),
+        dict(snr_db_points=(0.0, float("nan"))),
+        dict(snr_db_points=(float("-inf"), 0.0)),
+        dict(snr_db_points=(0.0, float("inf"))),
     ],
 )
 def test_spec_rejects_bad_values(small_config, kw):
@@ -83,12 +88,12 @@ def test_build_scheme_dispatch(small_config):
 
 
 def test_ber_point_validation():
-    p = BerPoint.from_counts(6.0, 2000, 3)
+    p = BerPoint(6.0, 2000, 3)
     assert p.ber == pytest.approx(0.0015)
     with pytest.raises(ValueError):
-        BerPoint(snr_db=0.0, bits_simulated=0, bit_errors=0, ber=0.0)
+        BerPoint(snr_db=0.0, bits_simulated=0, bit_errors=0)
     with pytest.raises(ValueError):
-        BerPoint.from_counts(0.0, 100, 200)
+        BerPoint(0.0, 100, 200)
 
 
 # --- seed tree -----------------------------------------------------------
@@ -151,7 +156,7 @@ def test_run_sweep_matches_run_point(small_config):
     assert [p.snr_db for p in result.points] == [0.0, 2.0]
     assert result.points[0] == run_point(spec, 0.0, 0)
     assert result.points[1] == run_point(spec, 2.0, 1)
-    assert result.master_seed == small_config.master_seed
+    assert result.spec.config.master_seed == small_config.master_seed
 
 
 def test_run_sweep_worker_count_invariance(small_config):
@@ -224,7 +229,7 @@ def test_diversity_order_exact_slope():
 
 def test_diversity_order_ignores_zero_points():
     points = _synthetic([(10, 1e-2), (12, 1e-3), (14, 1e-4)])
-    points.append(BerPoint(snr_db=16.0, bits_simulated=1000, bit_errors=0, ber=0.0))
+    points.append(BerPoint(snr_db=16.0, bits_simulated=1000, bit_errors=0))
     assert estimate_diversity_order(points) == pytest.approx(5.0, abs=1e-9)
 
 
@@ -233,6 +238,15 @@ def test_diversity_order_window():
     # Shallow early segment is outside the default window of three.
     assert estimate_diversity_order(points) == pytest.approx(5.0, abs=1e-9)
     assert estimate_diversity_order(points, window=4) < 5.0
+
+
+@pytest.mark.parametrize("window", [1, 0, -1])
+def test_diversity_order_rejects_window_below_two(window):
+    # Slicing the last `window` points, 0 would fit every point and -1 would
+    # drop the lowest-SNR one.
+    points = _synthetic([(0, 1e-1), (10, 1e-2), (12, 1e-3), (14, 1e-4)])
+    with pytest.raises(ValueError, match=f"window {window} is too small"):
+        estimate_diversity_order(points, window=window)
 
 
 def test_diversity_order_needs_two_points():
