@@ -27,6 +27,7 @@ from .harness import (
     read_results,
     run_point,
     run_sweep,
+    scenario_spec,
     snr_at_ber,
     write_results,
 )
@@ -69,6 +70,7 @@ __all__ = [
     "read_results",
     "run_point",
     "run_sweep",
+    "scenario_spec",
     "snr_at_ber",
     "write_codeword",
     "write_results",

@@ -28,6 +28,11 @@ DEFAULT_EVAL_CAP = 10 ** 7
 # pl=4 needs 9**4 = 6561 rows, the next power of two would need 9**8.
 _MAX_DIFF_VECTORS = 10 ** 6
 
+# Complex entries of the rotated-difference product in one metric chunk.
+# _MAX_DIFF_VECTORS keeps the difference-vector table inside it at every
+# power-of-two pl; the single-position table is checked against it.
+_CHUNK_ENTRIES = 4_000_000
+
 
 @dataclass
 class AngleSearchReport:
@@ -55,10 +60,11 @@ def difference_vectors(constellation: str, pl: int) -> np.ndarray:
     rows is the same as minimizing over pairs.
     """
     comp = component_differences(constellation)
-    if len(comp) ** pl > _MAX_DIFF_VECTORS:
+    # A power of at most cap.bit_length() decides the cap for any base >= 2.
+    if len(comp) ** min(pl, _MAX_DIFF_VECTORS.bit_length()) > _MAX_DIFF_VECTORS:
         raise ValueError(
             f"difference enumeration for {constellation} at pl={pl} needs "
-            f"{len(comp) ** pl} vectors; not supported"
+            f"{len(comp)}**{pl} vectors; not supported"
         )
     vecs = product_rows(comp, pl)
     vecs = vecs[np.any(vecs != 0, axis=1)]
@@ -70,6 +76,12 @@ def _single_position_vectors(constellation: str, pl: int) -> np.ndarray:
     """Difference vectors for pairs differing in exactly one position."""
     comp = component_differences(constellation)
     comp = comp[comp != 0]
+    if len(comp) * pl * pl > _CHUNK_ENTRIES:
+        raise ValueError(
+            f"single-position enumeration for {constellation} at pl={pl} needs "
+            f"{len(comp) * pl} x {pl} entries, more than one chunk's {_CHUNK_ENTRIES}; "
+            "not supported"
+        )
     vecs = np.zeros((len(comp) * pl, pl), dtype=complex)
     for k in range(pl):
         vecs[k * len(comp) : (k + 1) * len(comp), k] = comp
@@ -77,17 +89,21 @@ def _single_position_vectors(constellation: str, pl: int) -> np.ndarray:
     return vecs
 
 
+def _difference_table(constellation: str, pl: int, metric_name: str) -> np.ndarray:
+    """The difference vectors the metric minimizes over."""
+    if metric_name == MIN_PRODUCT_DISTANCE:
+        return difference_vectors(constellation, pl)
+    if metric_name == MIN_COMPONENT_EUCLIDEAN:
+        return _single_position_vectors(constellation, pl)
+    raise ValueError(f"unknown metric {metric_name!r}")
+
+
 def _batch_metric(angle_rows: np.ndarray, constellation: str, pl: int, metric_name: str) -> np.ndarray:
     """Metric value for each row of angle tuples, vectorized and chunked."""
-    if metric_name == MIN_PRODUCT_DISTANCE:
-        diffs = difference_vectors(constellation, pl)
-    elif metric_name == MIN_COMPONENT_EUCLIDEAN:
-        diffs = _single_position_vectors(constellation, pl)
-    else:
-        raise ValueError(f"unknown metric {metric_name!r}")
+    diffs = _difference_table(constellation, pl, metric_name)
     n = angle_rows.shape[0]
     out = np.empty(n)
-    chunk = max(1, 4_000_000 // (diffs.shape[0] * pl))
+    chunk = _CHUNK_ENTRIES // (diffs.shape[0] * pl)
     for start in range(0, n, chunk):
         phases = rotation_phases(angle_rows[start : start + chunk], pl)
         # v[n, d, k] = sum_m H[k, m] * phases[n, m] * diffs[d, m]
@@ -148,6 +164,8 @@ def optimize_angles(
     # cap within cap.bit_length() axes, so a power that small decides it.
     if n ** min(num_axes, cap.bit_length()) > cap:
         raise CapExceededError(f"grid search needs {n}**{num_axes} evaluations, cap is {cap}")
+    # An oversized difference table is refused here, before the grid is built.
+    _difference_table(constellation, pl, metric_name)
     total = n ** num_axes
     rows = product_rows(np.arange(n) * resolution, num_axes)
     metrics = _batch_metric(rows, constellation, pl, metric_name)

@@ -1,7 +1,8 @@
 """Command line front end: encode, simulate, optimize-angles, report.
 
-Exit codes: 0 on success, 2 on configuration or input errors, 3 when a
-configured search or evaluation cap is exceeded.
+Exit codes: 0 on success, 2 on configuration or input errors (including a
+run too large to allocate), 3 when a configured search or evaluation cap is
+exceeded.
 """
 
 from __future__ import annotations
@@ -18,9 +19,6 @@ from .codec import encode, write_codeword
 from .config import ConfigError, load_config
 from .core import BPSK, CapExceededError, QPSK, modulate
 from .decoder import DECOUPLED, EXHAUSTIVE
-from .schemes import alamouti_variant, p1_variant
-
-SCENARIOS = ("proposed", "qosf-p1", "alamouti-sf")
 
 
 def _handle_errors(fn):
@@ -31,8 +29,7 @@ def _handle_errors(fn):
         except CapExceededError as exc:
             click.echo(f"error: {exc}", err=True)
             sys.exit(3)
-        except (ConfigError, harness.InvalidSpecError, harness.ResultsParseError,
-                ValueError, OSError) as exc:
+        except (ValueError, OSError, MemoryError) as exc:
             click.echo(f"error: {exc}", err=True)
             sys.exit(2)
 
@@ -76,15 +73,18 @@ def _parse_snr(text: str) -> tuple:
 
 @main.command("simulate")
 @click.option("--config", "config_path", required=True, type=click.Path(exists=True))
-@click.option("--snr", "snr_text", default="0,2,4,6,8,10,12,14,16,18,20",
+@click.option("--snr", "snr_text", default=",".join(f"{s:g}" for s in harness.DEFAULT_SNR_DB),
               show_default=True, help="Comma-separated SNR points in dB.")
-@click.option("--scenario", type=click.Choice(SCENARIOS), default="proposed", show_default=True)
+@click.option("--scenario", type=click.Choice(list(harness.SCENARIOS)),
+              default=harness.SweepSpec.scenario_label, show_default=True)
 @click.option("--decoder", type=click.Choice([EXHAUSTIVE, DECOUPLED]),
-              default=EXHAUSTIVE, show_default=True)
+              default=harness.SweepSpec.decoder_mode, show_default=True)
 @click.option("--seed", type=int, default=None, help="Override the configured master seed.")
 @click.option("--out", "out_path", required=True, type=click.Path())
-@click.option("--min-errors", type=int, default=200, show_default=True)
-@click.option("--max-blocks", type=int, default=20_000, show_default=True)
+@click.option("--min-errors", type=int, default=harness.SweepSpec.min_bit_errors,
+              show_default=True)
+@click.option("--max-blocks", type=int, default=harness.SweepSpec.max_ofdm_blocks,
+              show_default=True)
 @click.option("--noiseless", is_flag=True, help="Disable receiver noise (sanity runs).")
 @click.option("--independent", is_flag=True,
               help="Use scenario-specific random streams instead of common random numbers.")
@@ -97,22 +97,13 @@ def simulate_cmd(config_path, snr_text, scenario, decoder, seed, out_path,
     config = load_config(config_path)
     if seed is not None:
         config = dataclasses.replace(config, master_seed=seed)
-    if scenario == "qosf-p1":
-        config = p1_variant(config)
-        scheme = harness.SCHEME_QOSF
-    elif scenario == "alamouti-sf":
-        config = alamouti_variant(config)
-        scheme = harness.SCHEME_ALAMOUTI
-    else:
-        scheme = harness.SCHEME_QOSF
-    spec = harness.SweepSpec(
-        config=config,
+    spec = harness.scenario_spec(
+        scenario,
+        config,
         snr_db_points=_parse_snr(snr_text),
         min_bit_errors=min_errors,
         max_ofdm_blocks=max_blocks,
         decoder_mode=decoder,
-        scenario_label=scenario,
-        scheme=scheme,
         noiseless=noiseless,
         independent_streams=independent,
     )

@@ -10,6 +10,7 @@ from __future__ import annotations
 import dataclasses
 import json
 import math
+import numbers
 from dataclasses import dataclass
 
 from .core import BPSK, constellation_points, is_power_of_two
@@ -59,6 +60,17 @@ class SystemConfig:
     def __post_init__(self):
         if self.code_paths is None:
             object.__setattr__(self, "code_paths", self.num_paths)
+        # Types first, so a bad value is named here and not by a later use.
+        for name in _INTEGER_FIELDS:
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise ConfigError(f"{name} must be an integer, got {value!r}")
+            object.__setattr__(self, name, int(value))
+        value = self.symbol_duration_s
+        if isinstance(value, bool) or not isinstance(value, numbers.Real):
+            raise ConfigError(f"symbol_duration_s must be a number, got {value!r}")
+        if not isinstance(self.constellation, str):
+            raise ConfigError(f"constellation must be a string, got {self.constellation!r}")
         object.__setattr__(self, "delays_s", _per_state(self.delays_s, self.num_states, "delays_s"))
         object.__setattr__(
             self, "path_powers", _per_state(self.path_powers, self.num_states, "path_powers")
@@ -153,6 +165,10 @@ class SystemConfig:
                 f"max delay {max_delay} s exceeds cyclic prefix "
                 f"({self.cp_len} samples = {self.cp_len * self.sample_period_s} s)"
             )
+
+
+_INTEGER_FIELDS = ("num_tx", "num_rx", "num_states", "num_paths", "code_paths",
+                   "num_subcarriers", "cp_len", "master_seed")
 
 
 def _per_state(value, num_states: int, name: str) -> tuple[tuple[float, ...], ...]:

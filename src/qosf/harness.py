@@ -20,7 +20,7 @@ import numpy as np
 from .channel import apply, draw_channel, frequency_response
 from .config import SystemConfig, config_from_dict, config_to_dict
 from .decoder import DECOUPLED, EXHAUSTIVE
-from .schemes import QosfScheme
+from .schemes import QosfScheme, alamouti_variant, p1_variant
 from .version import __version__
 
 SCHEME_QOSF = "qosf"
@@ -126,6 +126,21 @@ class SweepResult:
     points: list
     code_version: str
     wall_time_s: float = field(default=0.0, compare=False)
+
+
+# Each named scenario: the config variant it sweeps and the scheme label it
+# writes.  The baselines are configurations of the one code.
+SCENARIOS = {
+    "proposed": (lambda config: config, SCHEME_QOSF),
+    "qosf-p1": (p1_variant, SCHEME_QOSF),
+    "alamouti-sf": (alamouti_variant, SCHEME_ALAMOUTI),
+}
+
+
+def scenario_spec(name: str, config: SystemConfig, **fields) -> SweepSpec:
+    """SweepSpec for the named scenario run on (a variant of) config."""
+    variant, scheme = SCENARIOS[name]
+    return SweepSpec(config=variant(config), scheme=scheme, scenario_label=name, **fields)
 
 
 def build_scheme(spec: SweepSpec) -> QosfScheme:
@@ -342,13 +357,12 @@ def read_results(path) -> SweepResult:
             raise ResultsParseError(f"config header is not valid JSON ({exc})") from None
         if not isinstance(config_data, dict):
             raise ResultsParseError("config header must be a JSON object")
+        config = config_from_dict(config_data)
         if headers["scheme"] == SCHEME_ALAMOUTI and "code_paths" not in config_data:
             # Files from before code_paths: alamouti-sf meant the depth-one
-            # code, run with exhaustive ML whatever the decoder flag said, and
-            # the config carried an unused rotation angle.
-            config_data.update(code_paths=1, rotation_angles=[])
+            # code, run with exhaustive ML whatever the decoder flag said.
+            config = alamouti_variant(config)
             headers["decoder_mode"] = EXHAUSTIVE
-        config = config_from_dict(config_data)
 
         def parse(key, convert):
             value = headers[key]

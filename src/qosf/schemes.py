@@ -5,8 +5,8 @@ with the rotated quasi-orthogonal code.  The baselines are configurations of
 that same code over state 0's channel, so they keep the per-entry transmit
 energy and the per-state rate and BER comparisons are like for like:
 
-* ``p1_variant``: the single-state code, the classic quasi-orthogonal
-  space-frequency baseline.
+* ``p1_variant``: the single-state code at the config's depth, the classic
+  quasi-orthogonal space-frequency baseline.
 * ``alamouti_variant``: the single-state, depth-one code, which is
   Alamouti-SF (one Alamouti block per subcarrier pair, no rotation, no
   multipath stacking), so it has spatial diversity only.
@@ -20,7 +20,7 @@ import numpy as np
 
 from .channel import ChannelFrequencyGrid, ReceivedBlock
 from .codec import SfCodeword, encode
-from .config import SystemConfig
+from .config import ConfigError, SystemConfig
 from .core import BPSK, QPSK, bits_per_symbol, modulate
 from .decoder import EXHAUSTIVE, decode
 
@@ -51,21 +51,31 @@ class QosfScheme:
         return decode(received, grid, self.config, mode=self.decoder_mode)
 
 
-def p1_variant(config: SystemConfig, angle: float | None = None) -> SystemConfig:
-    """Single-state configuration of the same code, for baseline sweeps.
-
-    Keeps state 0's delay and power profile; the rotation shrinks to one
-    angle, defaulting to the known-good choice for the constellation.
-    """
-    if angle is None:
-        angle = P1_ANGLES[config.constellation]
+def _single_state(config: SystemConfig, depth: int) -> SystemConfig:
+    """The single-state code of the given depth over state 0's delays and powers."""
+    if depth > 2:
+        raise ConfigError(
+            f"the single-state baseline has rotation angles for code_paths 1 and 2 only, "
+            f"got code_paths = {depth}"
+        )
+    angles = () if depth == 1 else (P1_ANGLES[config.constellation],)
     return dataclasses.replace(
         config,
         num_states=1,
-        rotation_angles=(float(angle),),
+        code_paths=depth,
+        rotation_angles=angles,
         delays_s=(config.delays_s[0],),
         path_powers=(config.path_powers[0],),
     )
+
+
+def p1_variant(config: SystemConfig) -> SystemConfig:
+    """Single-state configuration of the same code at the config's depth.
+
+    At depth 2 the rotation shrinks to the known-good angle for the
+    constellation; at depth 1 it is Alamouti-SF's config.
+    """
+    return _single_state(config, config.code_paths)
 
 
 def alamouti_variant(config: SystemConfig) -> SystemConfig:
@@ -73,11 +83,4 @@ def alamouti_variant(config: SystemConfig) -> SystemConfig:
 
     With P*L = 1 the combiner is the identity, so no rotation angle is left.
     """
-    return dataclasses.replace(
-        config,
-        num_states=1,
-        code_paths=1,
-        rotation_angles=(),
-        delays_s=(config.delays_s[0],),
-        path_powers=(config.path_powers[0],),
-    )
+    return _single_state(config, 1)

@@ -24,15 +24,7 @@ from qosf.config import config_to_dict
 from qosf.core import BPSK, QPSK, constellation_points, modulate, product_rows
 from qosf.decoder import DECOUPLED, EXHAUSTIVE, decode
 from qosf.angleopt import coding_gain_metric, optimize_angles
-from qosf.harness import (
-    SCHEME_ALAMOUTI,
-    SCHEME_QOSF,
-    SweepSpec,
-    estimate_diversity_order,
-    run_sweep,
-    snr_at_ber,
-)
-from qosf.schemes import alamouti_variant, p1_variant
+from qosf.harness import SweepSpec, estimate_diversity_order, run_sweep, scenario_spec, snr_at_ber
 
 REFERENCE_ANGLES = (np.pi / 4, np.pi / 2, 3 * np.pi / 4)
 
@@ -71,25 +63,19 @@ def comparison_sweeps():
     falls below 1e-4 (the slope window ends there) or, for the weakest
     baseline, until its 1e-3 crossing is bracketed.
     """
-    base = SystemConfig()
-
-    def sweep(label, cfg, scheme, top):
-        spec = SweepSpec(
-            config=cfg,
+    def sweep(name, top):
+        spec = scenario_spec(
+            name,
+            SystemConfig(),
             snr_db_points=tuple(float(s) for s in range(top + 1)),
             min_bit_errors=200,
             max_ofdm_blocks=100_000,
-            scheme=scheme,
-            scenario_label=label,
         )
         return run_sweep(spec, workers=1)
 
     start = time.perf_counter()
-    out = {
-        "proposed": sweep("proposed", base, SCHEME_QOSF, 12),
-        "qosf-p1": sweep("qosf-p1", p1_variant(base), SCHEME_QOSF, 15),
-        "alamouti-sf": sweep("alamouti-sf", alamouti_variant(base), SCHEME_ALAMOUTI, 16),
-    }
+    out = {name: sweep(name, top) for name, top in
+           (("proposed", 12), ("qosf-p1", 15), ("alamouti-sf", 16))}
     out["wall_s"] = time.perf_counter() - start
     return out
 

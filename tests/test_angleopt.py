@@ -2,6 +2,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
+from qosf import angleopt
 from qosf.angleopt import (
     MIN_COMPONENT_EUCLIDEAN,
     MIN_PRODUCT_DISTANCE,
@@ -141,6 +142,18 @@ def test_optimize_eval_cap_is_exact():
     with pytest.raises(CapExceededError, match=r"needs 36\*\*3 evaluations, cap is 46655$"):
         optimize_angles(BPSK, 4, cap=36 ** 3 - 1)
     assert optimize_angles(BPSK, 4, cap=36 ** 3).evaluations == 36 ** 3 + 3 * 21
+
+
+@pytest.mark.parametrize("metric", [MIN_PRODUCT_DISTANCE, MIN_COMPONENT_EUCLIDEAN])
+def test_optimize_refuses_huge_table_before_the_grid(monkeypatch, metric):
+    # One grid point per axis passes the grid cap, but at pl = 2**30 even
+    # that one row would take gigabytes: the table check must come first.
+    def no_grid(values, length):
+        raise AssertionError("the grid was built")
+
+    monkeypatch.setattr(angleopt, "product_rows", no_grid)
+    with pytest.raises(ValueError, match="not supported"):
+        optimize_angles(BPSK, 2 ** 30, metric, resolution=np.pi)
 
 
 def test_format_report_fields():

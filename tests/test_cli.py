@@ -7,10 +7,11 @@ import numpy.testing as npt
 import pytest
 from click.testing import CliRunner
 
+from qosf import harness
 from qosf.cli import main
 from oracles import read_codeword
 from qosf.codec import encode
-from qosf.config import config_to_dict
+from qosf.config import SystemConfig, config_to_dict
 from qosf.core import BPSK, QPSK, modulate
 from qosf.decoder import DECOUPLED, EXHAUSTIVE
 from qosf.harness import read_results
@@ -195,6 +196,45 @@ def test_simulate_rejects_non_finite_snr(tmp_path, small_config, snr_text, bad):
     assert not out.exists()
 
 
+def test_simulate_scenario_choices_are_the_harness_table():
+    option = next(p for p in main.commands["simulate"].params if p.name == "scenario")
+    assert tuple(option.type.choices) == tuple(harness.SCENARIOS)
+
+
+@pytest.mark.parametrize(
+    "key,value",
+    [("num_subcarriers", 8.0), ("num_rx", 1.5), ("master_seed", 1.5), ("master_seed", True),
+     ("cp_len", 2.5), ("num_states", "2"), ("constellation", ["bpsk"]),
+     ("symbol_duration_s", "128e-6")],
+)
+def test_simulate_rejects_mistyped_config_value(tmp_path, small_config, key, value):
+    data = config_to_dict(small_config)
+    data[key] = value
+    cfg_path = tmp_path / "system.json"
+    cfg_path.write_text(json.dumps(data))
+    out = tmp_path / "o"
+    result = CliRunner().invoke(
+        main, ["simulate", "--config", str(cfg_path), "--snr", "0", "--max-blocks", "1",
+               "--out", str(out)]
+    )
+    assert result.exit_code == 2, result.output
+    assert result.output.startswith(f"error: {key} must be")
+    assert "Traceback" not in result.output and not out.exists()
+
+
+def test_simulate_reports_memory_error(tmp_path, small_config, monkeypatch):
+    def out_of_memory(spec, workers=None):
+        raise MemoryError("Unable to allocate 8.00 TiB for an array")
+
+    monkeypatch.setattr(harness, "run_sweep", out_of_memory)
+    cfg_path = _write_config(tmp_path, small_config)
+    result = CliRunner().invoke(
+        main, ["simulate", "--config", cfg_path, "--snr", "0", "--out", str(tmp_path / "o")]
+    )
+    assert result.exit_code == 2, result.output
+    assert result.output == "error: Unable to allocate 8.00 TiB for an array\n"
+
+
 def test_simulate_rejects_unknown_scenario(tmp_path, small_config):
     cfg_path = _write_config(tmp_path, small_config)
     result = CliRunner().invoke(
@@ -227,6 +267,20 @@ def test_optimize_angles_cap_with_huge_pl(pl):
     result = CliRunner().invoke(main, ["optimize-angles", "--pl", pl])
     assert result.exit_code == 3, result.output
     assert result.output == f"error: grid search needs 36**{int(pl) - 1} evaluations, cap is 10000000\n"
+
+
+@pytest.mark.parametrize("metric,message", [
+    ("min_product_distance", "needs 3**16384 vectors; not supported"),
+    ("min_component_euclidean", "needs 32768 x 16384 entries"),
+], ids=["product", "euclidean"])
+def test_optimize_angles_refuses_huge_difference_tables(metric, message):
+    # One grid point per axis passes the grid cap; the difference tables must
+    # be refused before they are built, and their size never spelled out.
+    result = CliRunner().invoke(
+        main, ["optimize-angles", "--pl", "16384", "--resolution", str(np.pi), "--metric", metric]
+    )
+    assert result.exit_code == 2, result.output
+    assert message in result.output and "Traceback" not in result.output
 
 
 @pytest.mark.parametrize("resolution", ["1.0", "0", "-0.0", "nan", "inf"])
@@ -447,6 +501,35 @@ def test_old_alamouti_results_file_loads(tmp_path, decoder):
     assert "alamouti-sf: diversity_order=1.494 snr_at_ber_1e-3=NA" in report.output
     assert plot.read_text().splitlines()[1:] == [
         "0.0\t1.46875e-01", "4.0\t6.87500e-02", "8.0\t9.37500e-03"]
+
+
+def test_simulate_p1_at_depth_one_is_alamouti(tmp_path, small_config):
+    cfg = dataclasses.replace(small_config, code_paths=1, rotation_angles=(np.pi / 2,))
+    cfg_path = _write_config(tmp_path, cfg)
+    for scenario in ("qosf-p1", "alamouti-sf"):
+        out = tmp_path / f"{scenario}.csv"
+        result = CliRunner().invoke(
+            main,
+            ["simulate", "--config", cfg_path, "--scenario", scenario,
+             "--snr", "0,4,8", "--max-blocks", "40", "--out", str(out)],
+        )
+        assert result.exit_code == 0, result.output
+        rows = out.read_text().split("snr_db,bits,errors,ber\n")[1].splitlines()
+        assert rows == PINNED_ROWS["alamouti-sf", EXHAUSTIVE, BPSK]
+
+
+def test_simulate_p1_rejects_depth_above_two(tmp_path):
+    cfg = SystemConfig(num_paths=4, num_subcarriers=8, cp_len=3,
+                       delays_s=(0.0, 1.6e-5, 3.2e-5, 4.8e-5), path_powers=(0.25,) * 4,
+                       rotation_angles=(np.pi / 4,) * 7)
+    cfg_path = _write_config(tmp_path, cfg)
+    out = tmp_path / "p1.csv"
+    result = CliRunner().invoke(
+        main, ["simulate", "--config", cfg_path, "--scenario", "qosf-p1", "--snr", "0",
+               "--out", str(out)]
+    )
+    assert result.exit_code == 2, result.output
+    assert "code_paths = 4" in result.output and not out.exists()
 
 
 def test_simulate_rejects_alamouti_with_decoupled_decoder(tmp_path, small_config):

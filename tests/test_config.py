@@ -152,3 +152,9 @@ def test_code_depth_sets_layout_channel_keeps_taps():
 def test_rejects_code_paths_outside_tap_count(code_paths):
     with pytest.raises(ConfigError, match="code_paths"):
         SystemConfig(code_paths=code_paths)
+
+
+def test_integer_fields_accept_numpy_integers():
+    cfg = SystemConfig(num_rx=np.int64(2), master_seed=np.uint64(7))
+    assert type(cfg.num_rx) is int and type(cfg.master_seed) is int
+    assert json.loads(json.dumps(config_to_dict(cfg)))["master_seed"] == 7

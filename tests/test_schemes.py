@@ -27,11 +27,6 @@ def test_p1_variant_qpsk_angle(small_config):
     assert cfg.rotation_angles == (np.pi / 4,)
 
 
-def test_p1_variant_explicit_angle(small_config):
-    cfg = p1_variant(small_config, angle=1.25)
-    assert cfg.rotation_angles == (1.25,)
-
-
 def test_alamouti_variant_shape(small_config):
     # Alamouti-SF is the single-state, depth-one code over the same 2-tap
     # channel: no rotation angle is left to set.
