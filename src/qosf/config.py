@@ -66,16 +66,17 @@ class SystemConfig:
             if isinstance(value, bool) or not isinstance(value, numbers.Integral):
                 raise ConfigError(f"{name} must be an integer, got {value!r}")
             object.__setattr__(self, name, int(value))
-        value = self.symbol_duration_s
-        if isinstance(value, bool) or not isinstance(value, numbers.Real):
-            raise ConfigError(f"symbol_duration_s must be a number, got {value!r}")
+        if not _is_finite_number(self.symbol_duration_s):
+            raise ConfigError(
+                f"symbol_duration_s must be a finite number, got {self.symbol_duration_s!r}"
+            )
         if not isinstance(self.constellation, str):
             raise ConfigError(f"constellation must be a string, got {self.constellation!r}")
         object.__setattr__(self, "delays_s", _per_state(self.delays_s, self.num_states, "delays_s"))
         object.__setattr__(
             self, "path_powers", _per_state(self.path_powers, self.num_states, "path_powers")
         )
-        object.__setattr__(self, "rotation_angles", tuple(float(a) for a in self.rotation_angles))
+        object.__setattr__(self, "rotation_angles", _numbers(self.rotation_angles, "rotation_angles"))
         self._validate()
 
     # Derived quantities ---------------------------------------------------
@@ -171,17 +172,35 @@ _INTEGER_FIELDS = ("num_tx", "num_rx", "num_states", "num_paths", "code_paths",
                    "num_subcarriers", "cp_len", "master_seed")
 
 
+def _is_finite_number(value) -> bool:
+    """A finite real number; a bool or a numeric string is not one."""
+    return (not isinstance(value, bool) and isinstance(value, numbers.Real)
+            and math.isfinite(value))
+
+
+def _list(value, name: str) -> list:
+    if isinstance(value, str) or not hasattr(value, "__iter__"):
+        raise ConfigError(f"{name} must be a list, got {value!r}")
+    return list(value)
+
+
+def _numbers(value, name: str) -> tuple[float, ...]:
+    """A list of finite numbers as a tuple of floats."""
+    items = _list(value, name)
+    for x in items:
+        if not _is_finite_number(x):
+            raise ConfigError(f"{name} must be a list of finite numbers, got {x!r} in it")
+    return tuple(float(x) for x in items)
+
+
 def _per_state(value, num_states: int, name: str) -> tuple[tuple[float, ...], ...]:
     """Normalize a per-state list; a flat list is broadcast to every state."""
-    try:
-        seq = list(value)
-    except TypeError:
-        raise ConfigError(f"{name} must be a list") from None
+    seq = _list(value, name)
     if seq and not hasattr(seq[0], "__len__"):
         seq = [seq] * num_states
     if len(seq) != num_states:
         raise ConfigError(f"{name} must have one entry per radiation state")
-    return tuple(tuple(float(x) for x in state) for state in seq)
+    return tuple(_numbers(state, name) for state in seq)
 
 
 _FIELD_NAMES = {f.name for f in dataclasses.fields(SystemConfig)}

@@ -3,7 +3,8 @@
 The program encodes and decodes every group of a block in one vectorized
 pass.  These are the straightforward scalar versions: one group, one state,
 one Alamouti block at a time, and a decoder that forms every predicted
-observation.  Tests check the batched paths against them.  The module also
+observation.  Tests check the batched paths against them, and check decode's
+one real product against the two complex products it replaced.  The module also
 holds the inverses the program never needs: a nearest-point symbol
 demodulator, a codeword-dump reader, and a time-domain check of the channel's
 frequency response.
@@ -14,6 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from qosf.channel import frequency_response
+from qosf.codec import build_theta, group_codewords, group_windows
 from qosf.core import CapExceededError, constellation_points, labels_to_bits, product_rows
 from qosf.decoder import DECOUPLED, DEFAULT_SEARCH_CAP, EXHAUSTIVE
 
@@ -165,6 +167,37 @@ GROUP_DECODERS = {
     EXHAUSTIVE: ml_decode_group,
     DECOUPLED: decoupled_ml_decode_group,
 }
+
+
+def two_product_decode(received, grid, config, mode: str = EXHAUSTIVE) -> np.ndarray:
+    """decode() as it was before its single real product, for the same bits.
+
+    Scores every candidate of a pass with two complex products over complex
+    codeword and outer-product tables, s^2 <H^H H, conj(c) c^T> - 2 s Re<H^H y,
+    conj(c)>, and keeps the first minimum.  In exact arithmetic this is the
+    metric decode() takes from its real feature table; only rounding differs.
+    """
+    step = {EXHAUSTIVE: 1, DECOUPLED: 2}[mode]
+    pl, m = config.pl, config.num_groups
+    points = constellation_points(config.constellation)
+    theta = build_theta(config.rotation_angles, pl)
+    y = group_windows(received.samples, config)
+    h = group_windows(grid.response, config)
+    scale = np.sqrt(received.snr_linear / NUM_TX)
+    matched = np.einsum("mpnji,mpnj->mpni", np.conj(h), y).reshape(m, -1)
+    gram = np.einsum("mpnji,mpnjk->mpnik", np.conj(h), h).reshape(m, -1)
+    labels = np.empty((m, 2 * pl), dtype=np.intp)
+    for offset in range(step):
+        table = product_rows(np.arange(points.size), 2 * pl // step)
+        symbols = np.zeros((table.shape[0], 2 * pl), dtype=complex)
+        symbols[:, offset::step] = points[table]
+        codewords = group_codewords(symbols, theta, config.num_states, config.code_paths)
+        outer = np.conj(codewords)[:, :, :, :, None] * codewords[:, :, :, None, :]
+        k = codewords.shape[0]
+        metric = scale * scale * (gram @ outer.reshape(k, -1).T).real
+        metric -= 2.0 * scale * (matched @ np.conj(codewords).reshape(k, -1).T).real
+        labels[:, offset::step] = table[np.argmin(metric, axis=1)]
+    return labels_to_bits(labels, config.constellation)
 
 
 def demodulate(symbols, constellation: str) -> np.ndarray:

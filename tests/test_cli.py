@@ -205,7 +205,13 @@ def test_simulate_scenario_choices_are_the_harness_table():
     "key,value",
     [("num_subcarriers", 8.0), ("num_rx", 1.5), ("master_seed", 1.5), ("master_seed", True),
      ("cp_len", 2.5), ("num_states", "2"), ("constellation", ["bpsk"]),
-     ("symbol_duration_s", "128e-6")],
+     ("symbol_duration_s", "128e-6"),
+     # Entries of the list fields: non-numeric, boolean or non-finite, and a non-list.
+     ("delays_s", [0.0, float("nan")]), ("path_powers", [float("nan"), 0.5]),
+     ("symbol_duration_s", float("nan")), ("symbol_duration_s", float("inf")),
+     ("delays_s", [0.0, "2e-5"]), ("delays_s", [True, 2e-5]), ("delays_s", ["0.0", "2e-5"]),
+     ("path_powers", [[0.5, 0.5], [False, 1.0]]), ("rotation_angles", 5),
+     ("rotation_angles", ["x", 1, 2]), ("rotation_angles", [float("-inf"), 1, 2])],
 )
 def test_simulate_rejects_mistyped_config_value(tmp_path, small_config, key, value):
     data = config_to_dict(small_config)

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -5,17 +7,22 @@ import pytest
 from qosf.channel import ChannelFrequencyGrid, apply, draw_channel, frequency_response
 from qosf.codec import build_theta, encode
 from qosf.core import (
-    BPSK, QPSK, CapExceededError, constellation_points, modulate, product_rows,
+    BPSK, QPSK, CapExceededError, bits_per_symbol, constellation_points, labels_to_bits,
+    modulate, product_rows,
 )
 from oracles import (
     GROUP_DECODERS, decoupled_ml_decode_group, demodulate, group_observation, ml_decode_group,
+    two_product_decode,
 )
+from qosf import SystemConfig
 from qosf.decoder import DECOUPLED, EXHAUSTIVE, decode
-from qosf.schemes import alamouti_variant
+from qosf.harness import SCENARIOS
+from qosf.schemes import alamouti_variant, p1_variant
 
 
 def _transmit(cfg, rng, snr_linear=10.0, noiseless=False, grid=None):
-    bits = rng.integers(0, 2, cfg.num_groups * cfg.symbols_per_group)
+    count = cfg.num_groups * cfg.symbols_per_group * bits_per_symbol(cfg.constellation)
+    bits = rng.integers(0, 2, count)
     cw = encode(modulate(bits, cfg.constellation), cfg)
     if grid is None:
         grid = frequency_response(draw_channel(cfg, rng), cfg)
@@ -61,11 +68,19 @@ def test_group_observation_slices_window(small_config):
 def test_batched_decode_matches_group_decoder(small_config):
     # decode() runs one vectorized search over all groups; it must agree
     # bit for bit with the straightforward per-group routine, also for the
-    # depth-one code (Alamouti-SF) over the two-tap channel.
+    # depth-one code (Alamouti-SF) over the two-tap channel, for QPSK and
+    # with two receive antennas.  The per-group exhaustive search of P=2 QPSK
+    # (65,536 candidates built one at a time) is too slow to run here.
     rng = np.random.default_rng(3)
-    for cfg in (small_config, alamouti_variant(small_config)):
+    qpsk = dataclasses.replace(small_config, constellation=QPSK)
+    cases = [(small_config, GROUP_DECODERS), (alamouti_variant(small_config), GROUP_DECODERS),
+             (qpsk, {DECOUPLED: decoupled_ml_decode_group}),
+             (p1_variant(qpsk), GROUP_DECODERS), (alamouti_variant(qpsk), GROUP_DECODERS),
+             (dataclasses.replace(small_config, num_rx=2), GROUP_DECODERS),
+             (p1_variant(dataclasses.replace(qpsk, num_rx=2)), GROUP_DECODERS)]
+    for cfg, group_decoders in cases:
         theta = build_theta(cfg.rotation_angles, cfg.pl)
-        for mode, group_fn in GROUP_DECODERS.items():
+        for mode, group_fn in group_decoders.items():
             for _ in range(20):
                 bits, received, grid = _transmit(cfg, rng, snr_linear=3.0)
                 fast = decode(received, grid, cfg, mode=mode)
@@ -75,6 +90,40 @@ def test_batched_decode_matches_group_decoder(small_config):
                     symbols = group_fn(obs, theta, cfg.constellation)
                     slow.append(demodulate(symbols, cfg.constellation))
                 npt.assert_array_equal(fast, np.concatenate(slow))
+
+
+@pytest.mark.parametrize("constellation", [BPSK, QPSK])
+@pytest.mark.parametrize("num_rx", [1, 2])
+def test_decode_matches_two_product_metric(constellation, num_rx):
+    # decode() scores candidates with one real product over a real feature
+    # table; its decisions must equal the two complex products it replaced,
+    # on every scenario's code and in both modes.  Blocks per case are few
+    # for P=2 QPSK's exhaustive search, whose oracle rebuilds 65,536-entry
+    # complex tables on each call.
+    rng = np.random.default_rng(10 + num_rx)
+    base = SystemConfig(constellation=constellation, num_rx=num_rx)
+    for variant, _ in SCENARIOS.values():
+        cfg = variant(base)
+        for mode in (EXHAUSTIVE, DECOUPLED):
+            large = len(constellation_points(constellation)) ** cfg.symbols_per_group > 2 ** 12
+            for _ in range(2 if large and mode == EXHAUSTIVE else 10):
+                _, received, grid = _transmit(cfg, rng, snr_linear=rng.uniform(0.5, 20.0))
+                npt.assert_array_equal(decode(received, grid, cfg, mode=mode),
+                                       two_product_decode(received, grid, cfg, mode=mode))
+
+
+@pytest.mark.parametrize("mode", [EXHAUSTIVE, DECOUPLED])
+def test_decode_ties_go_to_the_smallest_tuple(small_config, mode):
+    # Over a zero channel every candidate scores exactly 0, so the decision
+    # is the tie rule alone: the first tuple, point 0 at every position.
+    rng = np.random.default_rng(12)
+    for cfg in (small_config, dataclasses.replace(small_config, constellation=QPSK)):
+        zero = ChannelFrequencyGrid(response=np.zeros((2, 8, 1, 2), dtype=complex))
+        _, received, _ = _transmit(cfg, rng, grid=zero)
+        first = labels_to_bits(np.zeros((cfg.num_groups, cfg.symbols_per_group), dtype=int),
+                               cfg.constellation)
+        npt.assert_array_equal(decode(received, zero, cfg, mode=mode), first)
+        npt.assert_array_equal(two_product_decode(received, zero, cfg, mode=mode), first)
 
 
 def test_ml_matches_brute_force(tiny_config):
