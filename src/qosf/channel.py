@@ -7,6 +7,7 @@ time-domain CP/FFT chain (the tests check it against a DFT of the taps).
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -18,24 +19,29 @@ from .core import complex_normal
 
 @dataclass
 class ChannelFrequencyGrid:
-    """Per-subcarrier response, shape (P, num_subcarriers, num_rx, num_tx)."""
+    """Per-subcarrier response, shape (P, num_subcarriers, num_rx, num_tx),
+    with any leading block axes in front for a batch."""
 
     response: np.ndarray
 
 
 @dataclass
 class ReceivedBlock:
-    """Post-FFT receive samples, shape (P, num_subcarriers, num_rx)."""
+    """Post-FFT receive samples, shape (P, num_subcarriers, num_rx), with any
+    leading block axes in front for a batch."""
 
     samples: np.ndarray
     snr_linear: float
 
 
-def draw_channel(config: SystemConfig, rng: np.random.Generator) -> np.ndarray:
+def draw_channel(config: SystemConfig,
+                 rng: np.random.Generator | Sequence[np.random.Generator]) -> np.ndarray:
     """Draw one quasi-static realization: complex taps, shape (P, num_rx, num_tx, L).
 
     Taps are independent zero-mean circular Gaussians across state, antenna
     pair and path, with per-path variance from the configured power profile.
+    For a batch of blocks, rng is a sequence of generators, one per block,
+    each drawing its block's taps as a single block would: [B, P, Mr, Mt, L].
     """
     shape = (config.num_states, config.num_rx, config.num_tx, config.num_paths)
     taps = complex_normal(rng, shape)
@@ -46,12 +52,13 @@ def draw_channel(config: SystemConfig, rng: np.random.Generator) -> np.ndarray:
 
 def frequency_response(taps: np.ndarray, config: SystemConfig) -> ChannelFrequencyGrid:
     """Evaluate H_p(n) = sum_l alpha_l * exp(-j 2 pi n df tau_l) on every tone,
-    with the delays tau_l of the config's profile."""
+    with the delays tau_l of the config's profile.  Taps [..., P, Mr, Mt, L]
+    of a batch of blocks give a [..., P, Nc, Mr, Mt] response."""
     n = np.arange(config.num_subcarriers)
     delays = np.asarray(config.delays_s)  # [P, L]
     # [P, L, Nc] twiddle factors; delta_f * tau in units of cycles per tone.
     phase = np.exp(-2j * np.pi * config.subcarrier_spacing_hz * delays[:, :, None] * n)
-    response = np.einsum("pjil,pln->pnji", taps, phase)
+    response = np.einsum("...pjil,pln->...pnji", taps, phase)
     return ChannelFrequencyGrid(response=response)
 
 
@@ -59,23 +66,31 @@ def apply(
     codeword: SfCodeword,
     grid: ChannelFrequencyGrid,
     snr_linear: float,
-    rng: np.random.Generator,
+    rng: np.random.Generator | Sequence[np.random.Generator] | None,
     noiseless: bool = False,
 ) -> ReceivedBlock:
     """Pass a codeword through the channel at received SNR gamma.
 
     y_p^j(n) = sqrt(gamma / num_tx) * sum_i H_p^{i,j}(n) c_p^i(n) + z, with z
     unit-variance circular Gaussian per complex sample (or zero when
-    noiseless).
+    noiseless).  rng is the noise generator of one block, or for a batch of
+    blocks a sequence of generators, one per block in row-major order, each
+    drawing its block's noise as a single block would.
     """
     h = grid.response
     c = codeword.states
-    p, nc, num_rx, num_tx = h.shape
-    if c.shape != (p, num_tx, nc):
+    p, nc, num_rx, num_tx = h.shape[-4:]
+    if c.shape != h.shape[:-4] + (p, num_tx, nc):
         raise ValueError(f"codeword shape {c.shape} does not match channel {h.shape}")
     if snr_linear <= 0:
         raise ValueError("snr_linear must be positive")
-    signal = np.sqrt(snr_linear / num_tx) * np.einsum("pnji,pin->pnj", h, c)
+    signal = np.einsum("...pnji,...pin->...pnj", h, c)
+    signal *= np.sqrt(snr_linear / num_tx)
     if not noiseless:
-        signal = signal + complex_normal(rng, signal.shape)
+        noise = complex_normal(rng, signal.shape[-3:])
+        if noise.size != signal.size:
+            block = p * nc * num_rx
+            raise ValueError(f"{noise.size // block} noise generators for "
+                             f"{signal.size // block} blocks")
+        signal += noise.reshape(signal.shape)
     return ReceivedBlock(samples=signal, snr_linear=float(snr_linear))

@@ -24,7 +24,8 @@ NUM_TX = 2  # Alamouti sub-block size; the construction is specific to two anten
 class SfCodeword:
     """Per-state transmit matrices, one row per antenna, one column per tone.
 
-    states has shape (P, num_tx, num_subcarriers).  Columns past
+    states has shape (P, num_tx, num_subcarriers) for one block, with any
+    leading block axes in front for a batch.  Columns past
     num_groups * 2 * L are zero padding and transmit no energy.
     """
 
@@ -50,11 +51,13 @@ def build_theta(angles, pl: int) -> np.ndarray:
 
 
 def group_windows(per_tone: np.ndarray, config: SystemConfig) -> np.ndarray:
-    """[M, P, 2L, ...] view of a [P, Nc, ...] per-tone array: group m's window
-    is tones [m*2L, (m+1)*2L) of every state, and padding tones are left out."""
+    """[B, M, P, 2L, ...] view of a [B, P, Nc, ...] per-tone array of B blocks:
+    group m's window is tones [m*2L, (m+1)*2L) of every state, and padding
+    tones are left out."""
     m, span = config.num_groups, config.group_span
-    windows = per_tone[:, : m * span].reshape(per_tone.shape[0], m, span, *per_tone.shape[2:])
-    return windows.swapaxes(0, 1)
+    b, p = per_tone.shape[:2]
+    windows = per_tone[:, :, : m * span].reshape(b, p, m, span, *per_tone.shape[3:])
+    return windows.swapaxes(1, 2)
 
 
 def group_codewords(groups, theta: np.ndarray, num_states: int, code_paths: int) -> np.ndarray:
@@ -91,22 +94,25 @@ def encode(symbols, config: SystemConfig) -> SfCodeword:
     """Build the full per-state codeword set from a symbol stream.
 
     The stream is split into num_groups consecutive groups of 2*P*L symbols;
-    group m occupies subcarriers [m*2L, (m+1)*2L) in every state.
+    group m occupies subcarriers [m*2L, (m+1)*2L) in every state.  A batch of
+    blocks is a [..., symbols] array and gives [..., P, num_tx, Nc] states.
     """
     symbols = np.asarray(symbols, dtype=complex)
     p, el, m = config.num_states, config.code_paths, config.num_groups
     expected = m * config.symbols_per_group
-    if symbols.shape != (expected,):
+    if symbols.shape[-1:] != (expected,):
         raise ValueError(
             f"expected {expected} symbols ({m} groups of {config.symbols_per_group}), "
             f"got {symbols.shape}"
         )
+    lead = symbols.shape[:-1]
+    groups = symbols.reshape(-1, config.symbols_per_group)
     theta = build_theta(config.rotation_angles, config.pl)
-    states = np.zeros((p, NUM_TX, config.num_subcarriers), dtype=complex)
-    group_windows(states.swapaxes(1, 2), config)[...] = group_codewords(
-        symbols.reshape(m, config.symbols_per_group), theta, p, el
-    )
-    return SfCodeword(states=states)
+    states = np.zeros((groups.shape[0] // m, p, NUM_TX, config.num_subcarriers), dtype=complex)
+    group_windows(states.swapaxes(2, 3), config)[...] = group_codewords(
+        groups, theta, p, el
+    ).reshape(-1, m, p, 2 * el, NUM_TX)
+    return SfCodeword(states=states.reshape(lead + states.shape[1:]))
 
 
 # Text serialization --------------------------------------------------------

@@ -63,7 +63,7 @@ class SystemConfig:
         # Types first, so a bad value is named here and not by a later use.
         for name in _INTEGER_FIELDS:
             value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+            if not is_integer(value):
                 raise ConfigError(f"{name} must be an integer, got {value!r}")
             object.__setattr__(self, name, int(value))
         if not _is_finite_number(self.symbol_duration_s):
@@ -170,6 +170,11 @@ class SystemConfig:
 
 _INTEGER_FIELDS = ("num_tx", "num_rx", "num_states", "num_paths", "code_paths",
                    "num_subcarriers", "cp_len", "master_seed")
+
+
+def is_integer(value) -> bool:
+    """An integer; a bool, a float or a numeric string is not one."""
+    return not isinstance(value, bool) and isinstance(value, numbers.Integral)
 
 
 def _is_finite_number(value) -> bool:

@@ -6,6 +6,8 @@ concurrently without synchronization.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
+
 import numpy as np
 
 BPSK = "bpsk"
@@ -66,14 +68,19 @@ def hadamard(order: int) -> np.ndarray:
     Satisfies H @ H.T == order * I exactly (integer entries).  The natural
     Sylvester ordering matters: it fixes the sign pattern of the combined
     symbols across radiation states, so a row-permuted Hadamard matrix would
-    produce a different (and untested) codeword layout.
+    produce a different (and untested) codeword layout.  Entry (i, j) of
+    Sylvester's recursion H_2n = [[H_n, H_n], [H_n, -H_n]] is (-1) to the
+    number of bits i and j share, which is how it is computed here.
     """
     if not is_power_of_two(order):
         raise NotPowerOfTwoError(f"Hadamard order must be a power of two, got {order}")
-    h = np.array([[1]], dtype=np.int64)
-    while h.shape[0] < order:
-        h = np.block([[h, h], [h, -h]])
-    return h
+    index = np.arange(order, dtype=np.int64)
+    shared = index[:, None] & index
+    parity = np.zeros_like(shared)
+    while shared.any():
+        parity ^= shared & 1
+        shared >>= 1
+    return 1 - 2 * parity
 
 
 def modulate(bits, constellation: str) -> np.ndarray:
@@ -100,12 +107,23 @@ def labels_to_bits(labels, constellation: str) -> np.ndarray:
     return ((np.asarray(labels)[..., None] >> shifts) & 1).reshape(-1).astype(np.int64)
 
 
-def complex_normal(rng: np.random.Generator, shape) -> np.ndarray:
+def complex_normal(rng: np.random.Generator | Sequence[np.random.Generator],
+                   shape) -> np.ndarray:
     """Zero-mean circular complex Gaussian samples of unit variance.
 
     Real and imaginary parts are interleaved in the underlying draw so that a
     leading-dimension prefix of a larger request reproduces the smaller
     request exactly (used for common-random-number pairing across scenarios).
+    rng is one generator, or a sequence of generators for a batch: then the
+    result is [len(rng), *shape], row i drawn by generator i as it would
+    draw shape alone.
     """
-    raw = rng.standard_normal(size=(*tuple(shape), 2))
+    shape = (*tuple(shape), 2)
+    if isinstance(rng, np.random.Generator):
+        raw = rng.standard_normal(size=shape)
+    else:
+        rngs = list(rng)
+        raw = np.empty((len(rngs), *shape))
+        for row, row_rng in zip(raw, rngs):
+            row_rng.standard_normal(out=row)
     return (raw[..., 0] + 1j * raw[..., 1]) * np.sqrt(0.5)

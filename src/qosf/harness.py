@@ -1,9 +1,16 @@
 """Seeded Monte Carlo BER engine: sweep SNR, persist results, fit slopes.
 
-Every random draw comes from a counter-based seed tree keyed on
-(master_seed, snr_index, block_index, stream), so results do not depend on
-worker count or scheduling, and schemes sharing a master seed see the same
+Every random draw comes from its own numpy generator, seeded by a
+SeedSequence whose spawn key is (snr_index, block_index, stream) under the
+master seed, with the scenario's key in front when a sweep asks for
+independent streams.  So results do not depend on worker count, scheduling or
+how blocks are grouped, and schemes sharing a master seed see the same
 channel and noise per block (common random numbers) unless a sweep opts out.
+
+A point runs its blocks in chunks that pass through every stage in one call
+each.  The error counts of a chunk's blocks are summed in block order, and
+the point stops at the exact block where one-at-a-time running would have
+stopped, so a chunk's later blocks never reach the results.
 """
 
 from __future__ import annotations
@@ -18,8 +25,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .channel import apply, draw_channel, frequency_response
-from .config import SystemConfig, config_from_dict, config_to_dict
-from .decoder import DECOUPLED, EXHAUSTIVE
+from .config import SystemConfig, config_from_dict, config_to_dict, is_integer
+from .decoder import DECOUPLED, EXHAUSTIVE, candidates_per_pass, metric_rows
 from .schemes import QosfScheme, alamouti_variant, p1_variant
 from .version import __version__
 
@@ -31,6 +38,19 @@ _SCHEMES = (SCHEME_QOSF, SCHEME_ALAMOUTI)
 _STREAM_BITS = 0
 _STREAM_CHANNEL = 1
 _STREAM_NOISE = 2
+
+# Byte budget of the arrays one chunk of blocks holds at once.  It sets how
+# much a sweep's peak resident set grows, heap fragmentation included: on the
+# default P=2 BPSK code the benchmark's curve-p2 peak grew by about 0.4 MiB
+# with one block per chunk, about 0.6 MiB with this budget (5 blocks),
+# 0.8-1.0 MiB with 512 KiB (7 blocks) and 1.1 MiB with 768 KiB (11 blocks).
+# On a 2-vCPU host, chunks past 5 blocks saved at most about a tenth of the
+# wall time (at 15 blocks).
+_CHUNK_BYTES = 384 * 1024
+# Bytes a block adds to a chunk per tone, state and receive antenna, besides
+# decode's metric slice: its bits, response and samples, and decode's scaled
+# response, Gram matrices, matched filter and coefficient rows.
+_TONE_BYTES = 256
 
 DEFAULT_SNR_DB = tuple(float(s) for s in range(0, 21, 2))
 
@@ -78,6 +98,11 @@ class SweepSpec:
                 raise InvalidSpecError(f"SNR point {s!r} dB is not finite")
         if any(later <= earlier for earlier, later in zip(points, points[1:])):
             raise InvalidSpecError("SNR points must be strictly increasing")
+        for name in ("min_bit_errors", "max_ofdm_blocks"):
+            value = getattr(self, name)
+            if not is_integer(value):
+                raise InvalidSpecError(f"{name} must be an integer, got {value!r}")
+            object.__setattr__(self, name, int(value))
         if self.min_bit_errors < 1:
             raise InvalidSpecError("min_bit_errors must be at least 1")
         if self.max_ofdm_blocks < 1:
@@ -167,34 +192,69 @@ def _scenario_key(spec: SweepSpec) -> int | None:
     return zlib.crc32(spec.scenario_label.encode("utf-8"))
 
 
+def _chunk_cap(spec: SweepSpec) -> int:
+    """Most blocks one chunk may hold within _CHUNK_BYTES.
+
+    The chunk holds decode's metric slice and about _TONE_BYTES per tone,
+    state and receive antenna of each block.  A block whose metric slice
+    alone fills the budget (P=2 QPSK exhaustive: 16 MiB) runs on its own.
+    """
+    cfg = spec.config
+    k = candidates_per_pass(cfg, spec.decoder_mode)
+    metric = 8 * k * metric_rows(cfg.num_groups, k)
+    block = _TONE_BYTES * cfg.num_states * cfg.num_subcarriers * cfg.num_rx
+    return max(1, (_CHUNK_BYTES - metric) // block)
+
+
+def _chunk_errors(spec: SweepSpec, scheme: QosfScheme, snr_linear: float, snr_index: int,
+                  blocks: range) -> np.ndarray:
+    """Bit errors of each block of a chunk, every stage run once on the whole chunk.
+
+    Each block draws its bits, taps and noise from its own generators of the
+    seed tree, with the shapes and calls a lone block makes, so a block's
+    count does not depend on the chunk it runs in.
+    """
+    cfg, key = spec.config, _scenario_key(spec)
+
+    def node(block, stream):
+        return block_rng(cfg.master_seed, snr_index, block, stream, key)
+
+    bits = np.stack([node(b, _STREAM_BITS).integers(0, 2, size=scheme.bits_per_block,
+                                                    dtype=np.int64) for b in blocks])
+    grid = frequency_response(draw_channel(cfg, [node(b, _STREAM_CHANNEL) for b in blocks]), cfg)
+    noise = None if spec.noiseless else [node(b, _STREAM_NOISE) for b in blocks]
+    received = apply(scheme.encode_bits(bits), grid, snr_linear, noise, noiseless=spec.noiseless)
+    return np.count_nonzero(scheme.decode_bits(received, grid) != bits, axis=1)
+
+
 def run_point(spec: SweepSpec, snr_db: float, snr_index: int) -> BerPoint:
     """Simulate one SNR point until min_bit_errors or the block cap.
 
     snr_index is the point's position in the sweep grid; it selects the
     random stream, so sweeps whose grids share a common prefix draw the same
     channels and noise at the same SNR.
+
+    Blocks run in chunks.  The first chunk is one block; each later one is at
+    most twice the last, at most the blocks the error rate so far predicts
+    are still needed, and at most _chunk_cap.  The point ends at the first
+    block whose running error count reaches min_bit_errors, as if the blocks
+    had run one at a time, and the chunk's later blocks are dropped.
     """
     scheme = build_scheme(spec)
-    key = _scenario_key(spec)
     snr_linear = 10.0 ** (snr_db / 10.0)
-    seed = spec.config.master_seed
-    bits_total = 0
-    errors = 0
-    block = 0
-    while errors < spec.min_bit_errors and block < spec.max_ofdm_blocks:
-        bit_rng = block_rng(seed, snr_index, block, _STREAM_BITS, key)
-        bits = bit_rng.integers(0, 2, size=scheme.bits_per_block, dtype=np.int64)
-        codeword = scheme.encode_bits(bits)
-        realization = draw_channel(spec.config, block_rng(seed, snr_index, block, _STREAM_CHANNEL, key))
-        grid = frequency_response(realization, spec.config)
-        received = apply(codeword, grid, snr_linear,
-                         block_rng(seed, snr_index, block, _STREAM_NOISE, key),
-                         noiseless=spec.noiseless)
-        decoded = scheme.decode_bits(received, grid)
-        errors += int(np.count_nonzero(decoded != bits))
-        bits_total += bits.size
-        block += 1
-    return BerPoint(snr_db, bits_total, errors)
+    cap = _chunk_cap(spec)
+    errors = blocks = 0
+    size = 1
+    while errors < spec.min_bit_errors and blocks < spec.max_ofdm_blocks:
+        size = min(size, spec.max_ofdm_blocks - blocks)
+        counts = _chunk_errors(spec, scheme, snr_linear, snr_index, range(blocks, blocks + size))
+        running = errors + np.cumsum(counts)
+        used = min(size, int(np.searchsorted(running, spec.min_bit_errors)) + 1)
+        errors, blocks = int(running[used - 1]), blocks + used
+        # Blocks still needed at the error rate so far, rounded up.
+        needed = -(-(spec.min_bit_errors - errors) * blocks // errors) if errors else 2 * size
+        size = max(1, min(2 * size, needed, cap))
+    return BerPoint(snr_db, blocks * scheme.bits_per_block, errors)
 
 
 def _point_task(args):
@@ -318,7 +378,7 @@ def write_results(result: SweepResult, path) -> None:
 def read_results(path) -> SweepResult:
     """Parse a results file back into a SweepResult (wall time not stored)."""
     headers = {}
-    points = []
+    rows = []
     saw_csv_header = False
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, start=1):
@@ -344,8 +404,8 @@ def read_results(path) -> SweepResult:
             if len(cells) != 4:
                 raise ResultsParseError(f"line {lineno}: expected 4 columns, got {len(cells)}")
             try:
-                float(cells[3])
-                points.append(BerPoint(float(cells[0]), int(cells[1]), int(cells[2])))
+                ber = float(cells[3])
+                rows.append((lineno, BerPoint(float(cells[0]), int(cells[1]), int(cells[2])), ber))
             except ValueError as exc:
                 raise ResultsParseError(f"line {lineno}: {exc}") from None
     if not saw_csv_header:
@@ -392,11 +452,29 @@ def read_results(path) -> SweepResult:
         raise ResultsParseError(
             f"header 'master_seed': {seed} disagrees with the config header's {config.master_seed}"
         )
+    points = [point for _, point, _ in rows]
     if spec.snr_db_points != tuple(p.snr_db for p in points):
         raise ResultsParseError(
             f"header 'snr_db_points': {headers['snr_db_points']} disagrees with the SNRs "
             "of the data rows"
         )
+    per_block = build_scheme(spec).bits_per_block
+    for lineno, point, ber in rows:
+        blocks, rest = divmod(point.bits_simulated, per_block)
+        if rest:
+            raise ResultsParseError(
+                f"line {lineno}: {point.bits_simulated} bits is not a whole number of "
+                f"{per_block}-bit blocks"
+            )
+        if blocks > spec.max_ofdm_blocks:
+            raise ResultsParseError(
+                f"line {lineno}: {blocks} blocks exceed the max_ofdm_blocks header's "
+                f"{spec.max_ofdm_blocks}"
+            )
+        if ber != float(f"{point.ber:.5e}"):
+            raise ResultsParseError(
+                f"line {lineno}: ber {ber!r} is not errors/bits = {point.ber:.5e}"
+            )
     return SweepResult(spec=spec, points=points, code_version=version)
 
 

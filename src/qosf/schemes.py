@@ -45,9 +45,13 @@ class QosfScheme:
         return cfg.num_groups * cfg.symbols_per_group * bits_per_symbol(cfg.constellation)
 
     def encode_bits(self, bits: np.ndarray) -> SfCodeword:
-        return encode(modulate(bits, self.config.constellation), self.config)
+        """Codeword of one block's bits, or of each row of a [..., bits] batch."""
+        bits = np.asarray(bits)
+        symbols = modulate(bits.reshape(-1), self.config.constellation)
+        return encode(symbols.reshape(bits.shape[:-1] + (-1,)), self.config)
 
     def decode_bits(self, received: ReceivedBlock, grid: ChannelFrequencyGrid) -> np.ndarray:
+        """Bits of one block, or of each block of a batch along its leading axes."""
         return decode(received, grid, self.config, mode=self.decoder_mode)
 
 

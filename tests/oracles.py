@@ -3,21 +3,25 @@
 The program encodes and decodes every group of a block in one vectorized
 pass.  These are the straightforward scalar versions: one group, one state,
 one Alamouti block at a time, and a decoder that forms every predicted
-observation.  Tests check the batched paths against them, and check decode's
-one real product against the two complex products it replaced.  The module also
-holds the inverses the program never needs: a nearest-point symbol
-demodulator, a codeword-dump reader, and a time-domain check of the channel's
-frequency response.
+observation.  Tests check the batched paths against them, check decode's
+one real product against the two complex products it replaced, and check
+the harness's chunked block loop against the one-block-at-a-time loop it
+replaced.  The module also holds the inverses the program never needs: a
+nearest-point symbol demodulator, a codeword-dump reader, and a time-domain
+check of the channel's frequency response.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from qosf.channel import frequency_response
+from qosf.channel import apply, draw_channel, frequency_response
 from qosf.codec import build_theta, group_codewords, group_windows
 from qosf.core import CapExceededError, constellation_points, labels_to_bits, product_rows
 from qosf.decoder import DECOUPLED, DEFAULT_SEARCH_CAP, EXHAUSTIVE
+from qosf.harness import (
+    _STREAM_BITS, _STREAM_CHANNEL, _STREAM_NOISE, BerPoint, _scenario_key, block_rng, build_scheme,
+)
 
 NUM_TX = 2
 
@@ -181,8 +185,8 @@ def two_product_decode(received, grid, config, mode: str = EXHAUSTIVE) -> np.nda
     pl, m = config.pl, config.num_groups
     points = constellation_points(config.constellation)
     theta = build_theta(config.rotation_angles, pl)
-    y = group_windows(received.samples, config)
-    h = group_windows(grid.response, config)
+    y = group_windows(received.samples[None], config)[0]
+    h = group_windows(grid.response[None], config)[0]
     scale = np.sqrt(received.snr_linear / NUM_TX)
     matched = np.einsum("mpnji,mpnj->mpni", np.conj(h), y).reshape(m, -1)
     gram = np.einsum("mpnji,mpnjk->mpnik", np.conj(h), h).reshape(m, -1)
@@ -198,6 +202,34 @@ def two_product_decode(received, grid, config, mode: str = EXHAUSTIVE) -> np.nda
         metric -= 2.0 * scale * (matched @ np.conj(codewords).reshape(k, -1).T).real
         labels[:, offset::step] = table[np.argmin(metric, axis=1)]
     return labels_to_bits(labels, config.constellation)
+
+
+def serial_point(spec, snr_db: float, snr_index: int):
+    """run_point as it was before chunks: one block at a time, same stop rule.
+
+    run_point must give the same BerPoint, block for block.
+    """
+    scheme = build_scheme(spec)
+    key = _scenario_key(spec)
+    snr_linear = 10.0 ** (snr_db / 10.0)
+    seed = spec.config.master_seed
+    bits_total = 0
+    errors = 0
+    block = 0
+    while errors < spec.min_bit_errors and block < spec.max_ofdm_blocks:
+        bit_rng = block_rng(seed, snr_index, block, _STREAM_BITS, key)
+        bits = bit_rng.integers(0, 2, size=scheme.bits_per_block, dtype=np.int64)
+        codeword = scheme.encode_bits(bits)
+        realization = draw_channel(spec.config, block_rng(seed, snr_index, block, _STREAM_CHANNEL, key))
+        grid = frequency_response(realization, spec.config)
+        received = apply(codeword, grid, snr_linear,
+                         block_rng(seed, snr_index, block, _STREAM_NOISE, key),
+                         noiseless=spec.noiseless)
+        decoded = scheme.decode_bits(received, grid)
+        errors += int(np.count_nonzero(decoded != bits))
+        bits_total += bits.size
+        block += 1
+    return BerPoint(snr_db, bits_total, errors)
 
 
 def demodulate(symbols, constellation: str) -> np.ndarray:

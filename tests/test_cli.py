@@ -392,10 +392,28 @@ def test_report_rejects_duplicate_labels(tmp_path, small_config):
          "header 'master_seed': 5 disagrees with the config header's 0"),
         (lambda text: re.sub("(?m)^# snr_db_points: .*$", "# snr_db_points: 0.0,2.0", text),
          "header 'snr_db_points': 0.0,2.0 disagrees with the SNRs of the data rows"),
+        # Rows that parse but cannot come from the header's run: bits that are
+        # not whole 16-bit blocks, more blocks than the cap of 40, a ber cell
+        # that is not errors/bits, and a row of 3,200 blocks under a cap of 20
+        # whose ber is ten times its counts'.
+        (lambda text: _replace_last_row(text, "4.0,328,3,9.14634e-03"),
+         "line 15: 328 bits is not a whole number of 16-bit blocks"),
+        (lambda text: _replace_last_row(text, "4.0,800,3,3.75000e-03"),
+         "line 15: 50 blocks exceed the max_ofdm_blocks header's 40"),
+        (lambda text: _replace_last_row(text, "4.0,320,3,9.37500e-02"),
+         "line 15: ber 0.09375 is not errors/bits = 9.37500e-03"),
+        (lambda text: _replace_last_row(text, "4.0,320,3,9.37501e-03"),
+         "line 15: ber 0.00937501 is not errors/bits = 9.37500e-03"),
+        (lambda text: _replace_last_row(
+            re.sub("(?m)^# max_ofdm_blocks: .*$", "# max_ofdm_blocks: 20", text),
+            "4.0,51200,91,1.77734e-02"),
+         "line 15: 3200 blocks exceed the max_ofdm_blocks header's 20"),
     ],
     ids=["column-header", "zero-bits", "negative-errors", "errors-over-bits",
          "config-not-object", "config-not-json", "seed-not-int", "snr-not-float",
-         "noiseless-not-bool", "independent-not-bool", "seed-not-config", "snr-not-rows"],
+         "noiseless-not-bool", "independent-not-bool", "seed-not-config", "snr-not-rows",
+         "bits-not-blocks", "blocks-over-cap", "ber-not-counts",
+         "ber-off-in-last-digit", "ber-and-blocks-off"],
 )
 def test_report_rejects_corrupt_file(tmp_path, small_config, corrupt, message):
     a = _make_results(tmp_path, small_config, "proposed", "a.csv")

@@ -205,3 +205,50 @@ def test_decode_output_dtype(small_config):
     bits, received, grid = _transmit(small_config, rng, noiseless=True)
     out = decode(received, grid, small_config)
     assert out.dtype == np.int64 and out.shape == bits.shape
+
+
+_FOUR_TAPS = SystemConfig(num_states=1, num_paths=4, num_subcarriers=16, cp_len=6,
+                          delays_s=(0.0, 16e-6, 32e-6, 48e-6), path_powers=(0.25,) * 4,
+                          rotation_angles=(0.3, 1.1, 2.0))
+
+
+@pytest.mark.parametrize("which", ["small", "small-rx2", "default", "four-taps"])
+@pytest.mark.parametrize("constellation", [BPSK, QPSK])
+def test_batch_of_blocks_matches_single_blocks(small_config, which, constellation):
+    # B stacked blocks through each stage give the B single-block results
+    # bit for bit, each block drawing its taps and noise from its own generators.
+    base = {"small": small_config, "small-rx2": dataclasses.replace(small_config, num_rx=2),
+            "default": SystemConfig(), "four-taps": _FOUR_TAPS}[which]
+    cfg = dataclasses.replace(base, constellation=constellation)
+    count = cfg.num_groups * cfg.symbols_per_group * bits_per_symbol(constellation)
+    rng = np.random.default_rng(5)
+    blocks = 5
+    bits = rng.integers(0, 2, (blocks, count))
+    taps = draw_channel(cfg, [np.random.default_rng([8, b]) for b in range(blocks)])
+    symbols = modulate(bits.reshape(-1), constellation).reshape(blocks, -1)
+    cw = encode(symbols, cfg)
+    grid = frequency_response(taps, cfg)
+    received = apply(cw, grid, 3.0, [np.random.default_rng([9, b]) for b in range(blocks)])
+    modes = [DECOUPLED] if (which, constellation) == ("default", QPSK) else [EXHAUSTIVE, DECOUPLED]
+    decoded = {mode: decode(received, grid, cfg, mode=mode) for mode in modes}
+    for b in range(blocks):
+        one_cw = encode(symbols[b], cfg)
+        one_taps = draw_channel(cfg, np.random.default_rng([8, b]))
+        one_grid = frequency_response(one_taps, cfg)
+        one = apply(one_cw, one_grid, 3.0, np.random.default_rng([9, b]))
+        npt.assert_array_equal(taps[b], one_taps)
+        npt.assert_array_equal(cw.states[b], one_cw.states)
+        npt.assert_array_equal(grid.response[b], one_grid.response)
+        npt.assert_array_equal(received.samples[b], one.samples)
+        for mode in modes:
+            npt.assert_array_equal(decoded[mode][b], decode(one, one_grid, cfg, mode=mode))
+
+
+def test_apply_needs_one_noise_generator_per_block(small_config):
+    rng = np.random.default_rng(2)
+    bits = rng.integers(0, 2, (3, 16))
+    cw = encode(modulate(bits.reshape(-1), BPSK).reshape(3, -1), small_config)
+    grid = frequency_response(np.stack([draw_channel(small_config, rng) for _ in range(3)]),
+                              small_config)
+    with pytest.raises(ValueError, match="2 noise generators for 3 blocks"):
+        apply(cw, grid, 3.0, [np.random.default_rng(b) for b in range(2)])

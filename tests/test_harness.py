@@ -3,8 +3,10 @@ import dataclasses
 import numpy as np
 import pytest
 
-from qosf import harness
-from qosf.decoder import DECOUPLED
+from oracles import serial_point
+from qosf import SystemConfig, harness
+from qosf.core import BPSK, QPSK
+from qosf.decoder import DECOUPLED, EXHAUSTIVE
 from qosf.harness import (
     SCHEME_ALAMOUTI,
     BerPoint,
@@ -22,6 +24,7 @@ from qosf.harness import (
     read_results,
     run_point,
     run_sweep,
+    scenario_spec,
     snr_at_ber,
     write_results,
 )
@@ -75,6 +78,19 @@ def test_spec_rejects_bad_values(small_config, kw):
     config = kw.pop("variant", lambda cfg: cfg)(small_config)
     with pytest.raises(InvalidSpecError):
         SweepSpec(config=config, **kw)
+
+
+@pytest.mark.parametrize("field", ["min_bit_errors", "max_ofdm_blocks"])
+@pytest.mark.parametrize("value", [2.5, 3.0, True, "20", None])
+def test_spec_rejects_non_integer_stop_rule(small_config, field, value):
+    with pytest.raises(InvalidSpecError, match=f"{field} must be an integer, got {value!r}"):
+        SweepSpec(config=small_config, **{field: value})
+
+
+def test_spec_takes_numpy_integers_as_int(small_config):
+    spec = SweepSpec(config=small_config, min_bit_errors=np.int64(7), max_ofdm_blocks=np.int32(9))
+    assert type(spec.min_bit_errors) is int and type(spec.max_ofdm_blocks) is int
+    assert "# max_ofdm_blocks: 9\n" in format_results(SweepResult(spec, [], "x"))
 
 
 def test_build_scheme_dispatch(small_config):
@@ -165,6 +181,66 @@ def test_run_sweep_worker_count_invariance(small_config):
     par = run_sweep(spec, workers=2)
     # wall_time_s is excluded from equality on purpose.
     assert seq == par
+
+
+# --- chunked block loop --------------------------------------------------
+
+# (scenario, decoder, constellation): every combination `qosf simulate` runs.
+_RUNS = [(scenario, decoder, constellation)
+         for scenario in harness.SCENARIOS
+         for decoder in (EXHAUSTIVE, DECOUPLED)
+         for constellation in (BPSK, QPSK)
+         if not (scenario == "alamouti-sf" and decoder == DECOUPLED)]
+# Stop on the first error; in the middle of a chunk; after one block; and at
+# a block cap of 10 that the chunk sizes 1, 2, 4 do not sum to.
+_STOPS = [dict(min_bit_errors=1, max_ofdm_blocks=12),
+          dict(min_bit_errors=25, max_ofdm_blocks=40),
+          dict(max_ofdm_blocks=1),
+          dict(min_bit_errors=10**9, max_ofdm_blocks=10)]
+
+
+@pytest.mark.parametrize("streams", ["shared", "independent", "noiseless"])
+@pytest.mark.parametrize("scenario,decoder,constellation", _RUNS,
+                         ids=["-".join(run) for run in _RUNS])
+@pytest.mark.parametrize("which", ["small", "default"])
+def test_run_point_matches_serial_loop(small_config, which, scenario, decoder, constellation,
+                                       streams):
+    base = small_config if which == "small" else SystemConfig()
+    config = dataclasses.replace(base, constellation=constellation, master_seed=11)
+    for stop in _STOPS:
+        spec = scenario_spec(scenario, config, snr_db_points=(0.0, 6.0), decoder_mode=decoder,
+                             independent_streams=streams == "independent",
+                             noiseless=streams == "noiseless", **stop)
+        for i, snr in enumerate(spec.snr_db_points):
+            assert run_point(spec, snr, i) == serial_point(spec, snr, i), (stop, snr)
+
+
+def test_run_point_cuts_the_last_chunk_at_the_stop(small_config, monkeypatch):
+    chunks = []
+    chunk_errors = harness._chunk_errors
+
+    def recording(spec, scheme, snr_linear, snr_index, blocks):
+        chunks.append(blocks)
+        return chunk_errors(spec, scheme, snr_linear, snr_index, blocks)
+
+    monkeypatch.setattr(harness, "_chunk_errors", recording)
+    spec = _tiny_spec(small_config, min_bit_errors=40, max_ofdm_blocks=1000)
+    point = run_point(spec, 6.0, 1)
+    assert point == serial_point(spec, 6.0, 1)
+    sizes = [len(c) for c in chunks]
+    assert sizes[0] == 1 and all(b <= 2 * a for a, b in zip(sizes, sizes[1:]))
+    assert [c.start for c in chunks[1:]] == [c.stop for c in chunks[:-1]]
+    used = point.bits_simulated // build_scheme(spec).bits_per_block
+    # The stop fell inside the last chunk, whose later blocks were dropped.
+    assert chunks[-1].start < used < chunks[-1].stop
+
+
+def test_chunk_cap_follows_the_metric_size():
+    # One P=2 QPSK exhaustive block's [groups, K] metric is 16 MiB: it runs alone.
+    qpsk = dataclasses.replace(SystemConfig(), constellation=QPSK)
+    assert harness._chunk_cap(SweepSpec(config=qpsk)) == 1
+    assert harness._chunk_cap(SweepSpec(config=qpsk, decoder_mode=DECOUPLED)) > 1
+    assert harness._chunk_cap(SweepSpec(config=SystemConfig())) > 1
 
 
 def test_default_worker_count_env(monkeypatch):

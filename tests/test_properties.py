@@ -45,16 +45,19 @@ def _sweep_results(draw):
         )
     )
     snrs = sorted(snrs)
+    max_blocks = draw(st.integers(1, 10**6))
+    # The reader accepts only rows a run could write: whole blocks of the
+    # default config's 256 bits, at most max_ofdm_blocks of them.
     points = []
     for s in snrs:
-        bits = draw(st.integers(1, 10**9))
+        bits = 256 * draw(st.integers(1, max_blocks))
         errors = draw(st.integers(0, bits))
         points.append(BerPoint(s, bits, errors))
     spec = SweepSpec(
         config=SystemConfig(master_seed=draw(st.integers(0, 2**32))),
         snr_db_points=tuple(snrs),
         min_bit_errors=draw(st.integers(1, 10**6)),
-        max_ofdm_blocks=draw(st.integers(1, 10**6)),
+        max_ofdm_blocks=max_blocks,
         scenario_label=draw(st.sampled_from(["proposed", "qosf-p1", "a b c"])),
     )
     return SweepResult(
