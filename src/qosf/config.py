@@ -177,10 +177,14 @@ def is_integer(value) -> bool:
     return not isinstance(value, bool) and isinstance(value, numbers.Integral)
 
 
+def is_real(value) -> bool:
+    """A real number; a bool or a numeric string is not one."""
+    return not isinstance(value, bool) and isinstance(value, numbers.Real)
+
+
 def _is_finite_number(value) -> bool:
     """A finite real number; a bool or a numeric string is not one."""
-    return (not isinstance(value, bool) and isinstance(value, numbers.Real)
-            and math.isfinite(value))
+    return is_real(value) and math.isfinite(value)
 
 
 def _list(value, name: str) -> list:

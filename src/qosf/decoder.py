@@ -3,9 +3,12 @@
 The code places each group of 2*P*L symbols on a disjoint window of L*Mt
 subcarriers, and the frequency-domain channel acts independently per
 subcarrier, so the ML metric separates over groups.  Decoding runs an
-exhaustive (or decoupled) search over all groups of a batch of blocks at once:
-one real matrix product per pass and slice of groups against a cached real
-feature table of the candidates.
+exhaustive (or decoupled) search over all groups of a batch of blocks at once,
+one pass per searched set of positions.  A pass of at most _PRODUCT_CANDIDATES
+candidates scores them all with one real matrix product against a cached real
+feature table.  A larger pass (P=2 QPSK exhaustive: 65,536) runs an exact
+sphere search over the pass's real-linear model instead, with every group in
+lockstep, and never builds a table of its candidates.
 """
 
 from __future__ import annotations
@@ -17,13 +20,37 @@ import numpy as np
 from .channel import ChannelFrequencyGrid, ReceivedBlock
 from .codec import NUM_TX, build_theta, group_codewords, group_windows
 from .config import SystemConfig
-from .core import CapExceededError, constellation_points, labels_to_bits, product_rows
+from .core import (
+    CapExceededError, bits_per_symbol, constellation_points, labels_to_bits, product_rows,
+)
 
-# Largest candidate set an exhaustive search will enumerate.  QPSK with
-# P=2, L=2 has 2PL = 8 symbols per group and needs 4**8 = 2**16 candidates;
-# the decoupled search visits 2 * 4**4.  QPSK with P*L = 8 would need
-# 4**16 = 2**32, which is out of reach.
+# Largest candidate set one search pass may cover.  QPSK with P=2, L=2 has
+# 2PL = 8 symbols per group and 4**8 = 2**16 candidates; the decoupled search
+# covers 2 * 4**4.  QPSK with P*L = 8 would cover 4**16 = 2**32, which is out
+# of reach even for the sphere search: it can visit every candidate of a pass
+# (all of them tie on a zero channel).
 DEFAULT_SEARCH_CAP = 2 ** 20
+
+# Passes with at most this many candidates score them all with one real
+# product; larger ones run the sphere search.  On a 2-vCPU host, over 0-14 dB,
+# decoding a 5-block chunk took 0.42 ms with the product and 2.1-2.2 ms with
+# the search for P=2 BPSK exhaustive (256 candidates), and 0.63-0.71 against
+# 3.2-3.5 ms for P=2 QPSK decoupled (two passes of 256).  One P=2 QPSK
+# exhaustive block (65,536) took 6.5 ms with the product, 1.9-2.1 with the search.
+_PRODUCT_CANDIDATES = 256
+
+# The sphere search expands its tree breadth-first in pieces of at most this
+# many nodes, deepest piece first, so its frontier stays within
+# _FRONTIER_BYTES even when every node survives.  tracemalloc measured a
+# 3.1 MiB peak for one P=2 QPSK exhaustive decode on a zero channel, where
+# every candidate ties, and about 1 MiB on a typical 6 dB block.
+_PIECE_NODES = 1024
+_FRONTIER_BYTES = 4 << 20
+# Real coordinates the sphere search fixes per level of its tree, so a level
+# has 16 children per node.  On P=2 QPSK exhaustive (16 coordinates, 6-14 dB)
+# a 2-vCPU host decoded a block in about 1.3 ms with 4 per level, 1.5-1.6 ms
+# with 2 or 3, 1.7 ms with levels of 6, 6 and 2, and 4.0 ms with 8.
+_LEVEL_COORDINATES = 4
 
 # Decode evaluates its [rows, K] metric in row slices of at most this many
 # bytes, but never fewer rows than one block's groups, so a batch's metric
@@ -47,7 +74,8 @@ def _candidates(constellation: str, rotation_angles: tuple, num_states: int,
     others zeroed; labels holds their point indices, one byte each.  features
     is the real, C-contiguous [8*P*span, K] table of, per tone, |c0|^2, |c1|^2,
     2 Re(c0* c1), -2 Im(c0* c1), Re c0, Im c0, Re c1 and Im c1: 64 bytes per
-    tone and candidate, 32 MiB for P=2 QPSK's 65,536.  Nothing else is kept.
+    tone and candidate, 128 KiB for P=2 BPSK's 256.  Nothing else is kept, and
+    passes past _PRODUCT_CANDIDATES never build one.
     """
     pl = num_states * code_paths
     points = constellation_points(constellation)
@@ -92,7 +120,7 @@ def _coefficients(samples, response, snr_linear, config):
     return coeffs.reshape(-1, 8 * config.num_states * config.group_span)
 
 
-def metric_rows(num_groups: int, candidates: int) -> int:
+def _metric_rows(num_groups: int, candidates: int) -> int:
     """Rows of one slice of the [rows, K] metric: as many as fit in
     _METRIC_BYTES, but never fewer than one block's groups."""
     return max(num_groups, _METRIC_BYTES // (8 * candidates))
@@ -100,10 +128,10 @@ def metric_rows(num_groups: int, candidates: int) -> int:
 
 def _argmin_rows(coeffs, features, num_groups: int):
     """Index of the metric-minimizing candidate for every row: one real
-    product per slice of metric_rows rows, into one reused buffer.  argmin
+    product per slice of _metric_rows rows, into one reused buffer.  argmin
     keeps the first minimum, the smallest tuple."""
     total = coeffs.shape[0]
-    rows = metric_rows(num_groups, features.shape[1])
+    rows = _metric_rows(num_groups, features.shape[1])
     metric = np.empty((min(rows, total), features.shape[1]))
     best = np.empty(total, dtype=np.intp)
     for r in range(0, total, rows):
@@ -111,6 +139,130 @@ def _argmin_rows(coeffs, features, num_groups: int):
         np.matmul(coeffs[r:r + rows], features, out=part)
         np.argmin(part, axis=1, out=best[r:r + rows])
     return best
+
+
+@functools.lru_cache(maxsize=16)
+def _basis(constellation: str, rotation_angles: tuple, num_states: int, code_paths: int,
+           step: int, offset: int) -> np.ndarray:
+    """[n, P, 2L, Mt] codewords of the pass's real coordinates, cached read-only.
+
+    Every BPSK and QPSK point is a sum of +-a and +-ja, so a candidate of the
+    pass is x_0 c_0 + ... + x_{n-1} c_{n-1} with every x_k = +-1, c_k the
+    codeword of the unit a or ja at one searched position.  Column n-1 is the
+    real part of the first position; each next column down is the next bit of
+    the candidate's labels, so x_k = -1 is bit k of its tuple's index.
+    """
+    points = constellation_points(constellation)
+    units = np.array([1.0, 1j])[: bits_per_symbol(constellation)] * abs(points[0].real)
+    pl = num_states * code_paths
+    positions = np.arange(offset, 2 * pl, step)
+    n = positions.size * units.size
+    symbols = np.zeros((n, 2 * pl), dtype=complex)
+    coordinate = np.arange(n)[::-1]  # column k is coordinate n-1-k, counted from the first
+    symbols[np.arange(n), positions[coordinate // units.size]] = units[coordinate % units.size]
+    basis = group_codewords(symbols, build_theta(rotation_angles, pl), num_states, code_paths)
+    basis.flags.writeable = False
+    return basis
+
+
+def _sphere_model(h, y, basis):
+    """Per group: the lower Cholesky factor l of the pass's shifted real Gram
+    matrix, and z with l z = H_eff^T y.
+
+    h [G, P, span, Mr, Mt] are the scaled responses and y [G, P, span, Mr]
+    the observations.  Then |y - H_eff x|^2 = |z - l^T x|^2 plus terms equal
+    for every candidate: the shift adds eps |x|^2 = eps n, since every x_k is
+    +-1, and it keeps a zero channel's Gram positive definite.  One Cholesky
+    factor of the Gram matrix of [H_eff, y] holds both: its last row is z.
+    """
+    g, n = h.shape[0], basis.shape[0]
+    heff = np.empty(h.shape[:-1] + (n + 1,), dtype=complex)
+    np.matmul(h, np.moveaxis(basis, 0, -1), out=heff[..., :n])
+    heff[..., n] = y
+    heff = heff.reshape(g, -1, n + 1)
+    gram = np.matmul(np.conj(heff.swapaxes(1, 2)), heff).real
+    diagonal = np.einsum("gkk->gk", gram)  # a writeable view
+    diagonal[:, :n] += 1e-12 * diagonal[:, :n].mean(axis=1, keepdims=True) + 1e-300
+    diagonal[:, n] = 2.0 * diagonal[:, n] + 1.0  # keeps the factor real: |z|^2 <= |y|^2
+    low = np.linalg.cholesky(gram)
+    return low[:, :n, :n], low[:, n, :n]
+
+
+def _levels(low):
+    """The search's levels, top first: (lo, hi, t, u) fixes coordinates lo..hi-1.
+
+    Choice c of a level sets x_{lo+j} = -1 where bit j of c is set.  For
+    every group, t[g, c] is (l^T x) on rows lo..hi-1 and u[g, c] on rows below
+    lo, from the level's coordinates alone.
+    """
+    levels = []
+    for hi in range(low.shape[-1], 0, -_LEVEL_COORDINATES):
+        lo = max(0, hi - _LEVEL_COORDINATES)
+        choice = np.arange(1 << (hi - lo))
+        x = 1.0 - 2.0 * ((choice[:, None] >> np.arange(hi - lo)) & 1)
+        rows = x @ low[:, lo:hi, :hi]
+        levels.append((lo, hi, rows[..., lo:], rows[..., :lo]))
+    return levels
+
+
+def _sphere_search(low, z) -> np.ndarray:
+    """Index of the ML tuple of every group: the x in {-1, +1}^n minimizing
+    |z - l^T x|^2, read as the bits of x = -1, the first minimum in tuple order.
+
+    A greedy descent (the best choice at every level) sets each group's
+    starting radius.  The tree is then expanded a few coordinates per level
+    with every group's nodes in one array, each node keeping its residual
+    z - l^T x on the rows not yet fixed, and nodes whose partial distance
+    exceeds their group's radius are dropped.  Partial distances only grow,
+    so the ML leaf always survives.  Nodes stay sorted by (group, tuple), and
+    the frontier runs in pieces of at most _PIECE_NODES, the first piece to
+    the leaves first; each leaf found tightens its group's radius for the
+    later pieces.
+    """
+    g = z.shape[0]
+    levels = _levels(low)
+    groups = np.arange(g)
+    best_dist, best_code, resid = np.zeros(g), np.zeros(g, dtype=np.int64), z
+    for level in levels:
+        dist = _distances(level, groups, best_dist, resid)
+        keep = np.argmin(dist, axis=1) + dist.shape[1] * groups
+        best_dist = dist.reshape(-1)[keep]
+        _, best_code, resid = _children(level, keep, groups, best_code, resid)
+    stack = [(0, groups, np.zeros(g), np.zeros(g, dtype=np.int64), z)]
+    while stack:
+        depth, group, dist, code, resid = stack.pop()
+        dist = _distances(levels[depth], group, dist, resid)
+        keep = np.flatnonzero(dist <= best_dist[group, None])
+        dist = dist.reshape(-1)[keep]
+        group, code, resid = _children(levels[depth], keep, group, code, resid)
+        if depth < len(levels) - 1:
+            for start in reversed(range(0, keep.size, _PIECE_NODES)):
+                part = slice(start, start + _PIECE_NODES)
+                stack.append((depth + 1, group[part], dist[part], code[part], resid[part]))
+        elif keep.size:
+            # Each group's first minimum (leaves come in tuple order), if it beats the best.
+            order = np.lexsort((dist, group))
+            first = order[np.r_[True, group[order[1:]] != group[order[:-1]]]]
+            gf, df, cf = group[first], dist[first], code[first]
+            better = (df < best_dist[gf]) | ((df == best_dist[gf]) & (cf < best_code[gf]))
+            best_dist[gf[better]], best_code[gf[better]] = df[better], cf[better]
+    return best_code
+
+
+def _distances(level, group, dist, resid):
+    """[N, C] partial distances of the C children of each of N nodes."""
+    lo, hi, t, _ = level
+    diff = resid[:, None, lo:hi] - t[group]
+    return dist[:, None] + np.einsum("ncj,ncj->nc", diff, diff)
+
+
+def _children(level, keep, group, code, resid):
+    """Group, tuple index and residual of the children at flat indices keep
+    of a level's [N, C] distances."""
+    lo, hi, _, u = level
+    parent, choice = np.divmod(keep, 1 << (hi - lo))
+    group = group[parent]
+    return group, (code[parent] << (hi - lo)) | choice, resid[parent, :lo] - u[group, choice]
 
 
 def candidates_per_pass(config: SystemConfig, mode: str) -> int:
@@ -121,13 +273,24 @@ def candidates_per_pass(config: SystemConfig, mode: str) -> int:
     return q ** (config.symbols_per_group // _STEPS[mode])
 
 
+def pass_bytes(config: SystemConfig, mode: str) -> int:
+    """Bytes one decode call holds besides its per-tone arrays, whatever its
+    batch: the product's metric slice, or at most the sphere search's frontier."""
+    size = candidates_per_pass(config, mode)
+    if size > _PRODUCT_CANDIDATES:
+        return _FRONTIER_BYTES
+    return 8 * size * _metric_rows(config.num_groups, size)
+
+
 def decode(received: ReceivedBlock, grid: ChannelFrequencyGrid, config: SystemConfig,
            mode: str = EXHAUSTIVE, cap: int = DEFAULT_SEARCH_CAP) -> np.ndarray:
     """Recover the transmitted bit stream from one received OFDM block.
 
     Returns the bits in the original stream order (group by group, symbol by
     symbol).  mode selects "exhaustive" or "decoupled" per-group search; both
-    run one vectorized pass over all groups per searched set of positions.
+    run one vectorized pass over all groups per searched set of positions:
+    one real product over every candidate, or, past _PRODUCT_CANDIDATES, the
+    exact sphere search.  Either way ties go to the smallest tuple.
     A batch of blocks (leading block axes on the samples and the response)
     gives the bits of each block along the same leading axes.
     """
@@ -135,13 +298,25 @@ def decode(received: ReceivedBlock, grid: ChannelFrequencyGrid, config: SystemCo
     if size > cap:
         raise CapExceededError(f"{mode} search needs {size} candidates per pass, cap is {cap}")
     lead = received.samples.shape[:-3]
-    coeffs = _coefficients(received.samples.reshape((-1,) + received.samples.shape[-3:]),
-                           grid.response.reshape((-1,) + grid.response.shape[-4:]),
-                           received.snr_linear, config)
+    samples = received.samples.reshape((-1,) + received.samples.shape[-3:])
+    response = grid.response.reshape((-1,) + grid.response.shape[-4:])
     code = (config.constellation, config.rotation_angles, config.num_states, config.code_paths)
-    labels = np.empty((coeffs.shape[0], config.symbols_per_group), dtype=np.intp)
     step = _STEPS[mode]
-    for offset in range(step):
-        table, features = _candidates(*code, step, offset)
-        labels[:, offset::step] = table[_argmin_rows(coeffs, features, config.num_groups)]
+    labels = np.empty((samples.shape[0] * config.num_groups, config.symbols_per_group),
+                      dtype=np.intp)
+    if size > _PRODUCT_CANDIDATES:
+        h = np.sqrt(received.snr_linear / NUM_TX) * group_windows(response, config)
+        h = h.reshape((-1,) + h.shape[2:])
+        y = group_windows(samples, config).reshape((-1,) + h.shape[1:-1])
+        q = len(constellation_points(config.constellation))
+        shifts = bits_per_symbol(config.constellation) * np.arange(
+            config.symbols_per_group // step - 1, -1, -1)
+        for offset in range(step):
+            index = _sphere_search(*_sphere_model(h, y, _basis(*code, step, offset)))
+            labels[:, offset::step] = (index[:, None] >> shifts) & (q - 1)
+    else:
+        coeffs = _coefficients(samples, response, received.snr_linear, config)
+        for offset in range(step):
+            table, features = _candidates(*code, step, offset)
+            labels[:, offset::step] = table[_argmin_rows(coeffs, features, config.num_groups)]
     return labels_to_bits(labels, config.constellation).reshape(lead + (-1,))

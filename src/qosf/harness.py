@@ -25,8 +25,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .channel import apply, draw_channel, frequency_response
-from .config import SystemConfig, config_from_dict, config_to_dict, is_integer
-from .decoder import DECOUPLED, EXHAUSTIVE, candidates_per_pass, metric_rows
+from .config import SystemConfig, config_from_dict, config_to_dict, is_integer, is_real
+from .decoder import DECOUPLED, EXHAUSTIVE, pass_bytes
 from .schemes import QosfScheme, alamouti_variant, p1_variant
 from .version import __version__
 
@@ -48,8 +48,9 @@ _STREAM_NOISE = 2
 # wall time (at 15 blocks).
 _CHUNK_BYTES = 384 * 1024
 # Bytes a block adds to a chunk per tone, state and receive antenna, besides
-# decode's metric slice: its bits, response and samples, and decode's scaled
-# response, Gram matrices, matched filter and coefficient rows.
+# what a decode call holds whatever its batch (decoder.pass_bytes): its bits,
+# response and samples, and decode's scaled response, Gram matrices, matched
+# filter and coefficient rows.
 _TONE_BYTES = 256
 
 DEFAULT_SNR_DB = tuple(float(s) for s in range(0, 21, 2))
@@ -89,7 +90,19 @@ class SweepSpec:
     independent_streams: bool = False
 
     def __post_init__(self):
-        points = tuple(float(s) for s in self.snr_db_points)
+        points = self.snr_db_points
+        if isinstance(points, (str, bytes)):
+            raise InvalidSpecError(f"snr_db_points must be a sequence of numbers, "
+                                   f"not the string {points!r}")
+        try:
+            points = tuple(points)
+        except TypeError:
+            raise InvalidSpecError(
+                f"snr_db_points must be a sequence of numbers, got {points!r}") from None
+        for s in points:
+            if not is_real(s):
+                raise InvalidSpecError(f"snr_db_points entry {s!r} is not a number")
+        points = tuple(float(s) for s in points)
         object.__setattr__(self, "snr_db_points", points)
         if not points:
             raise InvalidSpecError("need at least one SNR point")
@@ -195,15 +208,15 @@ def _scenario_key(spec: SweepSpec) -> int | None:
 def _chunk_cap(spec: SweepSpec) -> int:
     """Most blocks one chunk may hold within _CHUNK_BYTES.
 
-    The chunk holds decode's metric slice and about _TONE_BYTES per tone,
-    state and receive antenna of each block.  A block whose metric slice
-    alone fills the budget (P=2 QPSK exhaustive: 16 MiB) runs on its own.
+    The chunk holds what one decode call holds whatever its batch (its
+    metric slice, or its sphere search's frontier) and about _TONE_BYTES per
+    tone, state and receive antenna of each block.  A code whose decode call
+    alone fills the budget (P=2 QPSK exhaustive: a frontier of up to 4 MiB)
+    runs one block at a time.
     """
     cfg = spec.config
-    k = candidates_per_pass(cfg, spec.decoder_mode)
-    metric = 8 * k * metric_rows(cfg.num_groups, k)
     block = _TONE_BYTES * cfg.num_states * cfg.num_subcarriers * cfg.num_rx
-    return max(1, (_CHUNK_BYTES - metric) // block)
+    return max(1, (_CHUNK_BYTES - pass_bytes(cfg, spec.decoder_mode)) // block)
 
 
 def _chunk_errors(spec: SweepSpec, scheme: QosfScheme, snr_linear: float, snr_index: int,

@@ -11,6 +11,7 @@ nearest-point symbol demodulator, a codeword-dump reader, and a time-domain
 check of the channel's frequency response.
 """
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -183,8 +184,6 @@ def two_product_decode(received, grid, config, mode: str = EXHAUSTIVE) -> np.nda
     """
     step = {EXHAUSTIVE: 1, DECOUPLED: 2}[mode]
     pl, m = config.pl, config.num_groups
-    points = constellation_points(config.constellation)
-    theta = build_theta(config.rotation_angles, pl)
     y = group_windows(received.samples[None], config)[0]
     h = group_windows(grid.response[None], config)[0]
     scale = np.sqrt(received.snr_linear / NUM_TX)
@@ -192,16 +191,28 @@ def two_product_decode(received, grid, config, mode: str = EXHAUSTIVE) -> np.nda
     gram = np.einsum("mpnji,mpnjk->mpnik", np.conj(h), h).reshape(m, -1)
     labels = np.empty((m, 2 * pl), dtype=np.intp)
     for offset in range(step):
-        table = product_rows(np.arange(points.size), 2 * pl // step)
-        symbols = np.zeros((table.shape[0], 2 * pl), dtype=complex)
-        symbols[:, offset::step] = points[table]
-        codewords = group_codewords(symbols, theta, config.num_states, config.code_paths)
-        outer = np.conj(codewords)[:, :, :, :, None] * codewords[:, :, :, None, :]
-        k = codewords.shape[0]
-        metric = scale * scale * (gram @ outer.reshape(k, -1).T).real
-        metric -= 2.0 * scale * (matched @ np.conj(codewords).reshape(k, -1).T).real
+        table, codewords, outer = _two_product_tables(
+            config.constellation, config.rotation_angles, config.num_states, config.code_paths,
+            step, offset)
+        metric = scale * scale * (gram @ outer.T).real
+        metric -= 2.0 * scale * (matched @ codewords.T).real
         labels[:, offset::step] = table[np.argmin(metric, axis=1)]
     return labels_to_bits(labels, config.constellation)
+
+
+@functools.lru_cache(maxsize=2)
+def _two_product_tables(constellation, rotation_angles, num_states, code_paths, step, offset):
+    """two_product_decode's [K] labels, [K, P*span*Mt] conjugate codewords and
+    [K, P*span*Mt*Mt] outer products of one pass, kept for the next call."""
+    pl = num_states * code_paths
+    points = constellation_points(constellation)
+    table = product_rows(np.arange(points.size), 2 * pl // step)
+    symbols = np.zeros((table.shape[0], 2 * pl), dtype=complex)
+    symbols[:, offset::step] = points[table]
+    codewords = group_codewords(symbols, build_theta(rotation_angles, pl), num_states, code_paths)
+    outer = np.conj(codewords)[:, :, :, :, None] * codewords[:, :, :, None, :]
+    k = codewords.shape[0]
+    return table, np.conj(codewords).reshape(k, -1), outer.reshape(k, -1)
 
 
 def serial_point(spec, snr_db: float, snr_index: int):

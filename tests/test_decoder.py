@@ -1,4 +1,5 @@
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import numpy.testing as npt
@@ -15,7 +16,8 @@ from oracles import (
     two_product_decode,
 )
 from qosf import SystemConfig
-from qosf.decoder import DECOUPLED, EXHAUSTIVE, decode
+from qosf import decoder
+from qosf.decoder import DECOUPLED, EXHAUSTIVE, candidates_per_pass, decode
 from qosf.harness import SCENARIOS
 from qosf.schemes import alamouti_variant, p1_variant
 
@@ -252,3 +254,75 @@ def test_apply_needs_one_noise_generator_per_block(small_config):
                               small_config)
     with pytest.raises(ValueError, match="2 noise generators for 3 blocks"):
         apply(cw, grid, 3.0, [np.random.default_rng(b) for b in range(2)])
+
+
+_PL8_BPSK = SystemConfig(num_paths=4, num_subcarriers=16, cp_len=6,
+                         delays_s=(0.0, 16e-6, 32e-6, 48e-6), path_powers=(0.25,) * 4,
+                         rotation_angles=(0.3, 1.1, 2.0, 0.7, 2.9, 1.6, 0.4))
+
+
+@pytest.mark.parametrize("which", ["qpsk", "qpsk-rx2", "bpsk-pl8"])
+def test_sphere_search_matches_exhaustive_oracle(which):
+    # Passes of 65,536 candidates run the sphere search; its decisions must
+    # equal the argmin over every candidate, on noisy blocks from -3 to 18 dB
+    # and on noiseless ones.
+    cfg = {"qpsk": SystemConfig(constellation=QPSK),
+           "qpsk-rx2": SystemConfig(constellation=QPSK, num_rx=2),
+           "bpsk-pl8": _PL8_BPSK}[which]
+    assert candidates_per_pass(cfg, EXHAUSTIVE) == 2 ** 16
+    rng = np.random.default_rng(13)
+    for snr_db in (-3, 0, 3, 6, 9, 12, 15, 18, None):
+        bits, received, grid = _transmit(cfg, rng, snr_linear=10 ** ((snr_db or 6) / 10),
+                                         noiseless=snr_db is None)
+        decoded = decode(received, grid, cfg)
+        npt.assert_array_equal(decoded, two_product_decode(received, grid, cfg))
+        if snr_db is None:
+            npt.assert_array_equal(decoded, bits)
+
+
+@pytest.mark.parametrize("constellation", [BPSK, QPSK])
+@pytest.mark.parametrize("num_rx", [1, 2])
+def test_sphere_search_matches_product_on_every_small_pass(monkeypatch, small_config,
+                                                          constellation, num_rx):
+    # Forced onto passes the product runs, the sphere search decides as the
+    # product does: every scenario's code, both modes, noisy blocks, and a
+    # zero channel, where every candidate ties.
+    rng = np.random.default_rng(14 + num_rx)
+    base = dataclasses.replace(small_config, constellation=constellation, num_rx=num_rx)
+    for variant, _ in SCENARIOS.values():
+        cfg = variant(base)
+        zero = ChannelFrequencyGrid(
+            response=np.zeros((cfg.num_states, 8, num_rx, 2), dtype=complex))
+        for mode in (EXHAUSTIVE, DECOUPLED):
+            if candidates_per_pass(cfg, mode) > 256:
+                continue
+            for grid in [zero] + [None] * 8:
+                _, received, grid = _transmit(cfg, rng, snr_linear=rng.uniform(0.5, 60.0),
+                                              grid=grid)
+                product = decode(received, grid, cfg, mode=mode)
+                with monkeypatch.context() as patch:
+                    patch.setattr(decoder, "_PRODUCT_CANDIDATES", 0)
+                    npt.assert_array_equal(decode(received, grid, cfg, mode=mode), product)
+
+
+def test_sphere_search_memory_is_bounded():
+    # One P=2 QPSK exhaustive decode holds at most 16 MiB, also on a zero
+    # channel, where every candidate ties and no node can be pruned, and it
+    # caches no table of its 65,536 candidates.
+    cfg = SystemConfig(constellation=QPSK)
+    rng = np.random.default_rng(16)
+    zero = ChannelFrequencyGrid(response=np.zeros((2, 128, 1, 2), dtype=complex))
+    first = labels_to_bits(np.zeros((cfg.num_groups, cfg.symbols_per_group), dtype=int), QPSK)
+    decoder._candidates.cache_clear()
+    for grid in (zero, None):
+        _, received, grid = _transmit(cfg, rng, snr_linear=10 ** 0.6, grid=grid)
+        tracemalloc.start()
+        try:
+            decoded = decode(received, grid, cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 16 * 2 ** 20
+        if grid is zero:
+            npt.assert_array_equal(decoded, first)
+    assert decoder._candidates.cache_info().currsize == 0

@@ -1,4 +1,5 @@
 import dataclasses
+import re
 
 import numpy as np
 import pytest
@@ -85,6 +86,30 @@ def test_spec_rejects_bad_values(small_config, kw):
 def test_spec_rejects_non_integer_stop_rule(small_config, field, value):
     with pytest.raises(InvalidSpecError, match=f"{field} must be an integer, got {value!r}"):
         SweepSpec(config=small_config, **{field: value})
+
+
+@pytest.mark.parametrize("points, message", [
+    # A string used to be read one character at a time: "48" ran at 4 and 8 dB.
+    ("48", "snr_db_points must be a sequence of numbers, not the string '48'"),
+    (b"48", "snr_db_points must be a sequence of numbers, not the string b'48'"),
+    ("0,2", "snr_db_points must be a sequence of numbers, not the string '0,2'"),
+    (4.0, "snr_db_points must be a sequence of numbers, got 4.0"),
+    (("0", "2"), "snr_db_points entry '0' is not a number"),
+    ((0.0, ","), "snr_db_points entry ',' is not a number"),
+    ((0.0, None), "snr_db_points entry None is not a number"),
+    ((True, 2.0), "snr_db_points entry True is not a number"),
+])
+def test_spec_rejects_snr_points_that_are_not_numbers(small_config, points, message):
+    with pytest.raises(InvalidSpecError, match=f"^{re.escape(message)}$"):
+        SweepSpec(config=small_config, snr_db_points=points)
+
+
+def test_spec_takes_any_sequence_of_real_snr_points(small_config):
+    for points in ([0, 2], np.array([0.0, 2.0]), (np.int64(0), np.float32(2.0)),
+                   (x for x in (0, 2.0))):
+        spec = SweepSpec(config=small_config, snr_db_points=points)
+        assert spec.snr_db_points == (0.0, 2.0)
+        assert all(type(s) is float for s in spec.snr_db_points)
 
 
 def test_spec_takes_numpy_integers_as_int(small_config):
