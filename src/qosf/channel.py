@@ -7,6 +7,7 @@ time-domain CP/FFT chain (the tests check it against a DFT of the taps).
 
 from __future__ import annotations
 
+import functools
 from collections.abc import Sequence
 from dataclasses import dataclass
 
@@ -50,14 +51,22 @@ def draw_channel(config: SystemConfig,
     return taps
 
 
+@functools.lru_cache(maxsize=16)
+def _twiddles(delays_s: tuple, spacing_hz: float, num_subcarriers: int) -> np.ndarray:
+    """[P, L, Nc] factors exp(-j 2 pi n df tau_l), df tau in cycles per tone,
+    cached and shared read-only."""
+    n = np.arange(num_subcarriers)
+    delays = np.asarray(delays_s)  # [P, L]
+    phase = np.exp(-2j * np.pi * spacing_hz * delays[:, :, None] * n)
+    phase.flags.writeable = False
+    return phase
+
+
 def frequency_response(taps: np.ndarray, config: SystemConfig) -> ChannelFrequencyGrid:
     """Evaluate H_p(n) = sum_l alpha_l * exp(-j 2 pi n df tau_l) on every tone,
     with the delays tau_l of the config's profile.  Taps [..., P, Mr, Mt, L]
     of a batch of blocks give a [..., P, Nc, Mr, Mt] response."""
-    n = np.arange(config.num_subcarriers)
-    delays = np.asarray(config.delays_s)  # [P, L]
-    # [P, L, Nc] twiddle factors; delta_f * tau in units of cycles per tone.
-    phase = np.exp(-2j * np.pi * config.subcarrier_spacing_hz * delays[:, :, None] * n)
+    phase = _twiddles(config.delays_s, config.subcarrier_spacing_hz, config.num_subcarriers)
     response = np.einsum("...pjil,pln->...pnji", taps, phase)
     return ChannelFrequencyGrid(response=response)
 

@@ -10,6 +10,7 @@ and the code is Alamouti-SF: one Alamouti block per subcarrier pair.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -48,6 +49,14 @@ def build_theta(angles, pl: int) -> np.ndarray:
     theta^H @ theta = pl * I for any angle choice.
     """
     return hadamard(pl) * rotation_phases(angles, pl)[..., None, :]
+
+
+@functools.lru_cache(maxsize=16)
+def _theta(rotation_angles: tuple, pl: int) -> np.ndarray:
+    """build_theta of a config's angles, cached and shared read-only."""
+    theta = build_theta(rotation_angles, pl)
+    theta.flags.writeable = False
+    return theta
 
 
 def group_windows(per_tone: np.ndarray, config: SystemConfig) -> np.ndarray:
@@ -107,7 +116,7 @@ def encode(symbols, config: SystemConfig) -> SfCodeword:
         )
     lead = symbols.shape[:-1]
     groups = symbols.reshape(-1, config.symbols_per_group)
-    theta = build_theta(config.rotation_angles, config.pl)
+    theta = _theta(config.rotation_angles, config.pl)
     states = np.zeros((groups.shape[0] // m, p, NUM_TX, config.num_subcarriers), dtype=complex)
     group_windows(states.swapaxes(2, 3), config)[...] = group_codewords(
         groups, theta, p, el

@@ -6,9 +6,10 @@ one Alamouti block at a time, and a decoder that forms every predicted
 observation.  Tests check the batched paths against them, check decode's
 one real product against the two complex products it replaced, and check
 the harness's chunked block loop against the one-block-at-a-time loop it
-replaced.  The module also holds the inverses the program never needs: a
-nearest-point symbol demodulator, a codeword-dump reader, and a time-domain
-check of the channel's frequency response.
+replaced, and the harness's windowed seed tree against numpy's SeedSequence,
+which it reproduces.  The module also holds the inverses the program never
+needs: a nearest-point symbol demodulator, a codeword-dump reader, and a
+time-domain check of the channel's frequency response.
 """
 
 import functools
@@ -21,7 +22,7 @@ from qosf.codec import build_theta, group_codewords, group_windows
 from qosf.core import CapExceededError, constellation_points, labels_to_bits, product_rows
 from qosf.decoder import DECOUPLED, DEFAULT_SEARCH_CAP, EXHAUSTIVE
 from qosf.harness import (
-    _STREAM_BITS, _STREAM_CHANNEL, _STREAM_NOISE, BerPoint, _scenario_key, block_rng, build_scheme,
+    _STREAM_BITS, _STREAM_CHANNEL, _STREAM_NOISE, BerPoint, _scenario_key, build_scheme,
 )
 
 NUM_TX = 2
@@ -215,10 +216,21 @@ def _two_product_tables(constellation, rotation_angles, num_states, code_paths, 
     return table, np.conj(codewords).reshape(k, -1), outer.reshape(k, -1)
 
 
+def seed_tree_rng(master_seed: int, snr_index: int, block_index: int, stream: int,
+                  scenario_key: int | None = None) -> np.random.Generator:
+    """Generator for one (point, block, stream) node of the seed tree, built
+    by numpy's own SeedSequence."""
+    spawn = (snr_index, block_index, stream)
+    if scenario_key is not None:
+        spawn = (scenario_key,) + spawn
+    return np.random.default_rng(np.random.SeedSequence(master_seed, spawn_key=spawn))
+
+
 def serial_point(spec, snr_db: float, snr_index: int):
     """run_point as it was before chunks: one block at a time, same stop rule.
 
-    run_point must give the same BerPoint, block for block.
+    run_point must give the same BerPoint, block for block.  Its generators
+    come from seed_tree_rng, not from the harness's seed words.
     """
     scheme = build_scheme(spec)
     key = _scenario_key(spec)
@@ -228,13 +240,14 @@ def serial_point(spec, snr_db: float, snr_index: int):
     errors = 0
     block = 0
     while errors < spec.min_bit_errors and block < spec.max_ofdm_blocks:
-        bit_rng = block_rng(seed, snr_index, block, _STREAM_BITS, key)
+        bit_rng = seed_tree_rng(seed, snr_index, block, _STREAM_BITS, key)
         bits = bit_rng.integers(0, 2, size=scheme.bits_per_block, dtype=np.int64)
         codeword = scheme.encode_bits(bits)
-        realization = draw_channel(spec.config, block_rng(seed, snr_index, block, _STREAM_CHANNEL, key))
+        realization = draw_channel(spec.config,
+                                   seed_tree_rng(seed, snr_index, block, _STREAM_CHANNEL, key))
         grid = frequency_response(realization, spec.config)
         received = apply(codeword, grid, snr_linear,
-                         block_rng(seed, snr_index, block, _STREAM_NOISE, key),
+                         seed_tree_rng(seed, snr_index, block, _STREAM_NOISE, key),
                          noiseless=spec.noiseless)
         decoded = scheme.decode_bits(received, grid)
         errors += int(np.count_nonzero(decoded != bits))

@@ -305,6 +305,22 @@ def test_sphere_search_matches_product_on_every_small_pass(monkeypatch, small_co
                     npt.assert_array_equal(decode(received, grid, cfg, mode=mode), product)
 
 
+def test_sphere_search_ties_past_the_greedy_leaf_go_to_the_smallest_tuple():
+    # Two levels: x1..x4 on top, x0 below, coupled to x4 by l[4, 0].  The
+    # greedy descent takes x4 = -1 (top distance 0.5625 against 1.5625) and
+    # reaches tuple 16, which ties with tuple 0 at 1.5625, exactly in binary.
+    # Only a search that keeps nodes at the best distance and compares tuples
+    # on equal distances returns 0.
+    low = np.eye(5)
+    low[4, 0] = 0.5
+    z = np.array([1.5, 1.0, 1.0, 1.0, -0.25])
+    x = 1.0 - 2.0 * ((np.arange(32)[:, None] >> np.arange(5)) & 1)
+    dist = np.sum((z - x @ low) ** 2, axis=1)
+    assert np.flatnonzero(dist == dist.min()).tolist() == [0, 16]
+    assert decoder._LEVEL_COORDINATES == 4
+    assert decoder._sphere_search(low[None], z[None]).tolist() == [0]
+
+
 def test_sphere_search_memory_is_bounded():
     # One P=2 QPSK exhaustive decode holds at most 16 MiB, also on a zero
     # channel, where every candidate ties and no node can be pruned, and it

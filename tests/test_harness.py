@@ -1,10 +1,15 @@
 import dataclasses
+import os
 import re
+import subprocess
+import sys
+import zlib
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from oracles import serial_point
+from oracles import seed_tree_rng, serial_point
 from qosf import SystemConfig, harness
 from qosf.core import BPSK, QPSK
 from qosf.decoder import DECOUPLED, EXHAUSTIVE
@@ -158,6 +163,35 @@ def test_block_rng_scenario_key_changes_draws():
     assert not np.array_equal(shared, keyed)
 
 
+@pytest.mark.parametrize("seed", [0, 1, 2**32 - 1, 2**32, 2**64 - 1, 2**130 + 5])
+@pytest.mark.parametrize("key", [None, zlib.crc32(b"proposed")])
+def test_seed_tree_matches_seed_sequence(seed, key):
+    # Block 2**32 is the first whose index SeedSequence splits into two words;
+    # the last window straddles it.
+    windows = (range(0, 2), range(255, 257), range(2**32 - 1, 2**32 + 1))
+    for snr_index in (0, 1, 10):
+        for blocks in windows:
+            words = harness.seed_words(seed, snr_index, blocks, key)
+            assert words.shape == (len(blocks), 3, 4) and words.flags.c_contiguous
+            for row, block in zip(words, blocks):
+                for stream in range(3):
+                    want = seed_tree_rng(seed, snr_index, block, stream, key).bit_generator.state
+                    assert harness._generators()(row[stream]).bit_generator.state == want
+                    got = block_rng(seed, snr_index, block, stream, key).bit_generator.state
+                    assert got == want, (snr_index, block, stream)
+
+
+def test_importing_the_cli_leaves_numpy_random_unloaded():
+    # The benchmark's peak_rss_mib moved by 0.83 MiB on the QPSK workload
+    # when numpy.random was loaded at import time, so qosf loads it only
+    # when it first draws.
+    env = dict(os.environ, PYTHONPATH=str(Path(harness.__file__).resolve().parents[1]))
+    code = "import sys, qosf.cli; print(sorted(m for m in sys.modules if m.startswith('numpy.random')))"
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                          timeout=120, check=True)
+    assert done.stdout.strip() == "[]"
+
+
 # --- running points and sweeps ------------------------------------------
 
 
@@ -238,6 +272,31 @@ def test_run_point_matches_serial_loop(small_config, which, scenario, decoder, c
                              noiseless=streams == "noiseless", **stop)
         for i, snr in enumerate(spec.snr_db_points):
             assert run_point(spec, snr, i) == serial_point(spec, snr, i), (stop, snr)
+
+
+@pytest.mark.parametrize("window", [1, 3])
+def test_run_point_matches_serial_loop_across_windows(small_config, monkeypatch, window):
+    windows = []
+    seed_words = harness.seed_words
+
+    def recording(master_seed, snr_index, blocks, scenario_key=None):
+        windows.append(blocks)
+        return seed_words(master_seed, snr_index, blocks, scenario_key)
+
+    monkeypatch.setattr(harness, "_WINDOW_BLOCKS", window)
+    monkeypatch.setattr(harness, "seed_words", recording)
+    for independent in (False, True):
+        for stop in _STOPS:
+            spec = _tiny_spec(small_config, independent_streams=independent, **stop)
+            for i, snr in enumerate(spec.snr_db_points):
+                windows.clear()
+                point = run_point(spec, snr, i)
+                assert point == serial_point(spec, snr, i), (stop, snr)
+                used = point.bits_simulated // build_scheme(spec).bits_per_block
+                assert windows[0].start == 0 and windows[-1].stop >= used
+                assert all(len(w) <= window and w.stop <= spec.max_ofdm_blocks for w in windows)
+                assert all(a.start < b.start <= a.stop for a, b in zip(windows, windows[1:]))
+                assert len(windows) >= -(-used // window)
 
 
 def test_run_point_cuts_the_last_chunk_at_the_stop(small_config, monkeypatch):
