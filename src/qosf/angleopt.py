@@ -1,11 +1,11 @@
-"""Coding-gain metrics for rotation angles and a grid search over them.
+"""The coding-gain metric for rotation angles and a grid search over them.
 
 The rotated-combining matrix Theta determines how far apart two distinct
-symbol groups land after spreading.  The product distance of the rotated
-difference vector is the coding-gain criterion the search maximizes by
-default; the per-component Euclidean alternative is kept because it is the
-literal "minimum distance" reading, even though it turns out to be
-angle-invariant for unit-modulus spreading matrices.
+symbol groups land after spreading.  The minimum product distance of the
+rotated difference vectors is the coding-gain criterion the search
+maximizes (the determinant criterion of Tarokh, Seshadri and Calderbank,
+1998).  A per-component Euclidean distance would be no criterion: for a
+unit-modulus spreading matrix it is the same at every angle.
 """
 
 from __future__ import annotations
@@ -19,8 +19,6 @@ from .codec import rotation_phases
 from .core import CapExceededError, constellation_points, hadamard, is_power_of_two, product_rows
 
 MIN_PRODUCT_DISTANCE = "min_product_distance"
-MIN_COMPONENT_EUCLIDEAN = "min_component_euclidean"
-METRIC_NAMES = (MIN_PRODUCT_DISTANCE, MIN_COMPONENT_EUCLIDEAN)
 
 DEFAULT_EVAL_CAP = 10 ** 7
 
@@ -30,14 +28,13 @@ _MAX_DIFF_VECTORS = 10 ** 6
 
 # Complex entries of the rotated-difference product in one metric chunk.
 # _MAX_DIFF_VECTORS keeps the difference-vector table inside it at every
-# power-of-two pl; the single-position table is checked against it.
+# power-of-two pl.
 _CHUNK_ENTRIES = 4_000_000
 
 
 @dataclass
 class AngleSearchReport:
     best_angles: tuple
-    metric_name: str
     metric_value: float
     grid_resolution: float
     evaluations: int
@@ -71,36 +68,10 @@ def difference_vectors(constellation: str, pl: int) -> np.ndarray:
     vecs.flags.writeable = False
     return vecs
 
-@lru_cache(maxsize=8)
-def _single_position_vectors(constellation: str, pl: int) -> np.ndarray:
-    """Difference vectors for pairs differing in exactly one position."""
-    comp = component_differences(constellation)
-    comp = comp[comp != 0]
-    if len(comp) * pl * pl > _CHUNK_ENTRIES:
-        raise ValueError(
-            f"single-position enumeration for {constellation} at pl={pl} needs "
-            f"{len(comp) * pl} x {pl} entries, more than one chunk's {_CHUNK_ENTRIES}; "
-            "not supported"
-        )
-    vecs = np.zeros((len(comp) * pl, pl), dtype=complex)
-    for k in range(pl):
-        vecs[k * len(comp) : (k + 1) * len(comp), k] = comp
-    vecs.flags.writeable = False
-    return vecs
 
-
-def _difference_table(constellation: str, pl: int, metric_name: str) -> np.ndarray:
-    """The difference vectors the metric minimizes over."""
-    if metric_name == MIN_PRODUCT_DISTANCE:
-        return difference_vectors(constellation, pl)
-    if metric_name == MIN_COMPONENT_EUCLIDEAN:
-        return _single_position_vectors(constellation, pl)
-    raise ValueError(f"unknown metric {metric_name!r}")
-
-
-def _batch_metric(angle_rows: np.ndarray, constellation: str, pl: int, metric_name: str) -> np.ndarray:
+def _batch_metric(angle_rows: np.ndarray, constellation: str, pl: int) -> np.ndarray:
     """Metric value for each row of angle tuples, vectorized and chunked."""
-    diffs = _difference_table(constellation, pl, metric_name)
+    diffs = difference_vectors(constellation, pl)
     n = angle_rows.shape[0]
     out = np.empty(n)
     chunk = _CHUNK_ENTRIES // (diffs.shape[0] * pl)
@@ -108,38 +79,28 @@ def _batch_metric(angle_rows: np.ndarray, constellation: str, pl: int, metric_na
         phases = rotation_phases(angle_rows[start : start + chunk], pl)
         # v[n, d, k] = sum_m H[k, m] * phases[n, m] * diffs[d, m]
         v = (diffs[None, :, :] * phases[:, None, :]) @ hadamard(pl).T
-        mags = np.abs(v)
-        if metric_name == MIN_PRODUCT_DISTANCE:
-            out[start : start + chunk] = mags.prod(axis=2).min(axis=1)
-        else:
-            out[start : start + chunk] = mags.min(axis=2).min(axis=1)
+        out[start : start + chunk] = np.abs(v).prod(axis=2).min(axis=1)
     return out
 
 
-def coding_gain_metric(
-    angles, constellation: str, pl: int, metric_name: str = MIN_PRODUCT_DISTANCE
-) -> float:
+def coding_gain_metric(angles, constellation: str, pl: int) -> float:
     """Worst-case separation of the combined constellation under Theta.
 
-    min_product_distance: minimum over all distinct vector pairs of the
-    product of component magnitudes of Theta(s - s').  Zero whenever some
-    rotated difference has a vanishing component.
-
-    min_component_euclidean: minimum single-component magnitude over pairs
-    that differ in exactly one position.
+    The minimum over all distinct vector pairs of the product of component
+    magnitudes of Theta(s - s').  Zero whenever some rotated difference has
+    a vanishing component.
     """
     angles = np.atleast_1d(np.asarray(angles, dtype=float))
     if not is_power_of_two(pl):
         raise ValueError(f"pl must be a power of two, got {pl}")
     if angles.shape != (pl - 1,):
         raise ValueError(f"expected {pl - 1} angles, got {angles.shape}")
-    return float(_batch_metric(angles[None, :], constellation, pl, metric_name)[0])
+    return float(_batch_metric(angles[None, :], constellation, pl)[0])
 
 
 def optimize_angles(
     constellation: str,
     pl: int,
-    metric_name: str = MIN_PRODUCT_DISTANCE,
     resolution: float = np.pi / 36,
     cap: int = DEFAULT_EVAL_CAP,
 ) -> AngleSearchReport:
@@ -152,8 +113,6 @@ def optimize_angles(
     """
     if not is_power_of_two(pl):
         raise ValueError(f"pl must be a power of two, got {pl}")
-    if metric_name not in METRIC_NAMES:
-        raise ValueError(f"unknown metric {metric_name!r}")
     # Any step that is not a positive angle of at most pi becomes nan here.
     steps = np.pi / resolution if 0 < resolution <= np.pi else np.nan
     if not np.isfinite(steps) or abs(steps - round(steps)) > 1e-9:
@@ -165,10 +124,10 @@ def optimize_angles(
     if n ** min(num_axes, cap.bit_length()) > cap:
         raise CapExceededError(f"grid search needs {n}**{num_axes} evaluations, cap is {cap}")
     # An oversized difference table is refused here, before the grid is built.
-    _difference_table(constellation, pl, metric_name)
+    difference_vectors(constellation, pl)
     total = n ** num_axes
     rows = product_rows(np.arange(n) * resolution, num_axes)
-    metrics = _batch_metric(rows, constellation, pl, metric_name)
+    metrics = _batch_metric(rows, constellation, pl)
     best_idx = int(np.argmax(metrics))
     best = rows[best_idx].copy()
     best_value = float(metrics[best_idx])
@@ -180,7 +139,7 @@ def optimize_angles(
         cands = np.repeat(best[None, :], len(offsets), axis=0)
         cands[:, k] = np.mod(best[k] + offsets, np.pi)
         cands = cands[np.argsort(cands[:, k], kind="stable")]
-        values = _batch_metric(cands, constellation, pl, metric_name)
+        values = _batch_metric(cands, constellation, pl)
         evaluations += len(cands)
         j = int(np.argmax(values))
         if values[j] > best_value or (values[j] == best_value and cands[j, k] < best[k]):
@@ -188,7 +147,6 @@ def optimize_angles(
             best = cands[j].copy()
     return AngleSearchReport(
         best_angles=tuple(float(a) for a in best),
-        metric_name=metric_name,
         metric_value=best_value,
         grid_resolution=float(resolution),
         evaluations=evaluations,
@@ -199,7 +157,7 @@ def format_report(report: AngleSearchReport) -> str:
     """Render a search report as key: value lines."""
     angles = ", ".join(repr(a) for a in report.best_angles)
     lines = [
-        f"metric_name: {report.metric_name}",
+        f"metric_name: {MIN_PRODUCT_DISTANCE}",
         f"metric_value: {report.metric_value!r}",
         f"best_angles: {angles}",
         f"grid_resolution: {report.grid_resolution!r}",

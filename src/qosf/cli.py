@@ -115,16 +115,14 @@ def simulate_cmd(config_path, snr_text, scenario, decoder, seed, out_path,
 
 @main.command("optimize-angles")
 @click.option("--pl", type=int, required=True, help="Combined block length P*L.")
-@click.option("--metric", type=click.Choice(list(angleopt.METRIC_NAMES)),
-              default=angleopt.MIN_PRODUCT_DISTANCE, show_default=True)
 @click.option("--resolution", type=float, default=np.pi / 36,
               help="Grid step in radians; must divide pi.  [default: pi/36]")
 @click.option("--constellation", type=click.Choice([BPSK, QPSK]), default=BPSK,
               show_default=True)
 @_handle_errors
-def optimize_angles_cmd(pl, metric, resolution, constellation):
-    """Search rotation angles maximizing the coding-gain metric."""
-    report = angleopt.optimize_angles(constellation, pl, metric, resolution)
+def optimize_angles_cmd(pl, resolution, constellation):
+    """Search rotation angles maximizing the minimum product distance."""
+    report = angleopt.optimize_angles(constellation, pl, resolution)
     click.echo(angleopt.format_report(report), nl=False)
 
 

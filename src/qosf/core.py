@@ -118,12 +118,10 @@ def complex_normal(rng: np.random.Generator | Sequence[np.random.Generator],
     result is [len(rng), *shape], row i drawn by generator i as it would
     draw shape alone.
     """
-    shape = (*tuple(shape), 2)
-    if isinstance(rng, np.random.Generator):
-        raw = rng.standard_normal(size=shape)
-    else:
-        rngs = list(rng)
-        raw = np.empty((len(rngs), *shape))
-        for row, row_rng in zip(raw, rngs):
-            row_rng.standard_normal(out=row)
-    return (raw[..., 0] + 1j * raw[..., 1]) * np.sqrt(0.5)
+    single = isinstance(rng, np.random.Generator)
+    rngs = [rng] if single else list(rng)
+    raw = np.empty((len(rngs), *tuple(shape), 2))
+    for row, row_rng in zip(raw, rngs):
+        row_rng.standard_normal(out=row)
+    samples = (raw[..., 0] + 1j * raw[..., 1]) * np.sqrt(0.5)
+    return samples[0] if single else samples

@@ -68,18 +68,18 @@ _STEPS = {EXHAUSTIVE: 1, DECOUPLED: 2}
 @functools.lru_cache(maxsize=16)
 def _candidates(constellation: str, rotation_angles: tuple, num_states: int,
                 code_paths: int, step: int, offset: int):
-    """Candidate (labels, features), cached per code and pass and shared read-only.
+    """Candidate features, cached per code and pass and shared read-only.
 
     The pass searches positions offset, offset + step, ... of a group, the
-    others zeroed; labels holds their point indices, one byte each.  features
-    is the real, C-contiguous [8*P*span, K] table of, per tone, |c0|^2, |c1|^2,
-    2 Re(c0* c1), -2 Im(c0* c1), Re c0, Im c0, Re c1 and Im c1: 64 bytes per
-    tone and candidate, 128 KiB for P=2 BPSK's 256.  Nothing else is kept, and
-    passes past _PRODUCT_CANDIDATES never build one.
+    others zeroed, and column r is the candidate product_rows spells as row r.
+    The table is real and C-contiguous, [8*P*span, K]: per tone, |c0|^2,
+    |c1|^2, 2 Re(c0* c1), -2 Im(c0* c1), Re c0, Im c0, Re c1 and Im c1.  That
+    is 64 bytes per tone and candidate, 128 KiB for P=2 BPSK's 256.  Nothing
+    else is kept, and passes past _PRODUCT_CANDIDATES never build one.
     """
     pl = num_states * code_paths
     points = constellation_points(constellation)
-    labels = product_rows(np.arange(points.size, dtype=np.uint8), 2 * pl // step)
+    labels = product_rows(np.arange(points.size), 2 * pl // step)
     theta = build_theta(rotation_angles, pl)
     features = np.empty((8 * num_states * 2 * code_paths, labels.shape[0]))
     # The codewords, a chunk of candidates at a time so their transpose stays in cache.
@@ -93,8 +93,8 @@ def _candidates(constellation: str, rotation_angles: tuple, num_states: int,
         r0, i0, r1, i1 = np.moveaxis(rows[:, :, 4:], 2, 0)
         rows[:, :, 0], rows[:, :, 1] = r0 * r0 + i0 * i0, r1 * r1 + i1 * i1
         rows[:, :, 2], rows[:, :, 3] = 2.0 * (r0 * r1 + i0 * i1), 2.0 * (i0 * r1 - r0 * i1)
-    labels.flags.writeable = features.flags.writeable = False
-    return labels, features
+    features.flags.writeable = False
+    return features
 
 
 def _coefficients(samples, response, snr_linear, config):
@@ -302,21 +302,22 @@ def decode(received: ReceivedBlock, grid: ChannelFrequencyGrid, config: SystemCo
     response = grid.response.reshape((-1,) + grid.response.shape[-4:])
     code = (config.constellation, config.rotation_angles, config.num_states, config.code_paths)
     step = _STEPS[mode]
-    labels = np.empty((samples.shape[0] * config.num_groups, config.symbols_per_group),
-                      dtype=np.intp)
+    index = np.empty((samples.shape[0] * config.num_groups, step), dtype=np.int64)
     if size > _PRODUCT_CANDIDATES:
         h = np.sqrt(received.snr_linear / NUM_TX) * group_windows(response, config)
         h = h.reshape((-1,) + h.shape[2:])
         y = group_windows(samples, config).reshape((-1,) + h.shape[1:-1])
-        q = len(constellation_points(config.constellation))
-        shifts = bits_per_symbol(config.constellation) * np.arange(
-            config.symbols_per_group // step - 1, -1, -1)
         for offset in range(step):
-            index = _sphere_search(*_sphere_model(h, y, _basis(*code, step, offset)))
-            labels[:, offset::step] = (index[:, None] >> shifts) & (q - 1)
+            index[:, offset] = _sphere_search(*_sphere_model(h, y, _basis(*code, step, offset)))
     else:
         coeffs = _coefficients(samples, response, received.snr_linear, config)
         for offset in range(step):
-            table, features = _candidates(*code, step, offset)
-            labels[:, offset::step] = table[_argmin_rows(coeffs, features, config.num_groups)]
+            index[:, offset] = _argmin_rows(coeffs, _candidates(*code, step, offset),
+                                            config.num_groups)
+    # Both searches number a pass's candidates as product_rows does: base-q digit
+    # j of the index, first position most significant, is the point at group
+    # position offset + step*j, so [g, j, offset] is the group's symbol order.
+    width = bits_per_symbol(config.constellation)
+    shifts = width * np.arange(config.symbols_per_group // step - 1, -1, -1)
+    labels = (index[:, None, :] >> shifts[:, None]) & ((1 << width) - 1)
     return labels_to_bits(labels, config.constellation).reshape(lead + (-1,))

@@ -141,8 +141,10 @@ class SweepSpec:
                 f"exhaustive decoder, got {cfg.num_states}, {cfg.code_paths} and "
                 f"{self.decoder_mode}"
             )
-        if not self.scenario_label or any(c in self.scenario_label for c in "\t\n"):
-            raise InvalidSpecError("scenario_label must be non-empty printable text")
+        # The results header stores the label on one line and strips it when read.
+        label = self.scenario_label
+        if not label or label != label.strip() or any(c in label for c in "\t\n\r"):
+            raise InvalidSpecError(f"scenario_label {label!r} must be one non-empty line, unpadded")
 
 
 @dataclass

@@ -33,8 +33,6 @@ P1_ANGLES = {BPSK: np.pi / 2, QPSK: np.pi / 4}
 class QosfScheme:
     """Rotated quasi-orthogonal space-frequency code, any state count and depth."""
 
-    name = "qosf"
-
     def __init__(self, config: SystemConfig, decoder_mode: str = EXHAUSTIVE):
         self.config = config
         self.decoder_mode = decoder_mode

@@ -4,8 +4,6 @@ import pytest
 
 from qosf import angleopt
 from qosf.angleopt import (
-    MIN_COMPONENT_EUCLIDEAN,
-    MIN_PRODUCT_DISTANCE,
     AngleSearchReport,
     coding_gain_metric,
     component_differences,
@@ -60,14 +58,6 @@ def test_metric_against_closed_form_pl2():
         assert got == pytest.approx(closed_form_pl2(theta), abs=1e-9)
 
 
-def test_min_component_metric_is_angle_invariant():
-    rng = np.random.default_rng(0)
-    for _ in range(5):
-        angles = tuple(rng.uniform(0, np.pi, 3))
-        assert coding_gain_metric(angles, BPSK, 4, MIN_COMPONENT_EUCLIDEAN) == pytest.approx(2.0, abs=1e-9)
-        assert coding_gain_metric(angles, QPSK, 4, MIN_COMPONENT_EUCLIDEAN) == pytest.approx(np.sqrt(2), abs=1e-9)
-
-
 def test_metric_pi_periodic():
     rng = np.random.default_rng(1)
     for _ in range(10):
@@ -84,8 +74,6 @@ def test_metric_validates_arguments():
         coding_gain_metric((0.1, 0.2), BPSK, 4)
     with pytest.raises(ValueError):
         coding_gain_metric((0.1, 0.2), BPSK, 3)
-    with pytest.raises(ValueError):
-        coding_gain_metric(REFERENCE_ANGLES, BPSK, 4, "chordal")
 
 
 def test_optimize_pl2_finds_plateau():
@@ -113,22 +101,9 @@ def test_optimize_report_is_self_consistent():
     assert report.evaluations == 6 ** 3 + 3 * 21
 
 
-def test_optimize_flat_metric_returns_lex_smallest():
-    # Every angle scores the same under the single-position metric, so the
-    # tie rule must hand back the origin.
-    report = optimize_angles(BPSK, 2, MIN_COMPONENT_EUCLIDEAN, resolution=np.pi / 12)
-    assert report.best_angles == (0.0,)
-    assert report.metric_value == pytest.approx(2.0, abs=1e-12)
-
-
 def test_optimize_rejects_bad_resolution():
     with pytest.raises(ValueError, match="divide pi"):
         optimize_angles(BPSK, 2, resolution=1.0)
-
-
-def test_optimize_rejects_unknown_metric():
-    with pytest.raises(ValueError):
-        optimize_angles(BPSK, 2, "chordal")
 
 
 def test_optimize_eval_cap():
@@ -144,8 +119,7 @@ def test_optimize_eval_cap_is_exact():
     assert optimize_angles(BPSK, 4, cap=36 ** 3).evaluations == 36 ** 3 + 3 * 21
 
 
-@pytest.mark.parametrize("metric", [MIN_PRODUCT_DISTANCE, MIN_COMPONENT_EUCLIDEAN])
-def test_optimize_refuses_huge_table_before_the_grid(monkeypatch, metric):
+def test_optimize_refuses_huge_table_before_the_grid(monkeypatch):
     # One grid point per axis passes the grid cap, but at pl = 2**30 even
     # that one row would take gigabytes: the table check must come first.
     def no_grid(values, length):
@@ -153,7 +127,7 @@ def test_optimize_refuses_huge_table_before_the_grid(monkeypatch, metric):
 
     monkeypatch.setattr(angleopt, "product_rows", no_grid)
     with pytest.raises(ValueError, match="not supported"):
-        optimize_angles(BPSK, 2 ** 30, metric, resolution=np.pi)
+        optimize_angles(BPSK, 2 ** 30, resolution=np.pi)
 
 
 def test_format_report_fields():

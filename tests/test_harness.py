@@ -67,6 +67,10 @@ def test_spec_normalizes_points(small_config):
         dict(scheme="vblast"),
         dict(scenario_label=""),
         dict(scenario_label="two\nlines"),
+        # Labels the results file would not read back as written.
+        dict(scenario_label=" proposed"),
+        dict(scenario_label="proposed\x0b"),
+        dict(scenario_label="prop\rosed"),
         # The alamouti-sf label needs the single-state, depth-one code and
         # the exhaustive decoder; "variant" maps small_config to the config.
         dict(scheme=SCHEME_ALAMOUTI),
