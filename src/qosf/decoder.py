@@ -36,14 +36,17 @@ DEFAULT_SEARCH_CAP = 2 ** 20
 # decoding a 5-block chunk took 0.42 ms with the product and 2.1-2.2 ms with
 # the search for P=2 BPSK exhaustive (256 candidates), and 0.63-0.71 against
 # 3.2-3.5 ms for P=2 QPSK decoupled (two passes of 256).  One P=2 QPSK
-# exhaustive block (65,536) took 6.5 ms with the product, 1.9-2.1 with the search.
+# exhaustive block (65,536) took 6.5 ms with the product, 1.9-2.1 with the
+# search; the search runs several such blocks per call (see pass_bytes).
 _PRODUCT_CANDIDATES = 256
 
 # The sphere search expands its tree breadth-first in pieces of at most this
-# many nodes, deepest piece first, so its frontier stays within
-# _FRONTIER_BYTES even when every node survives.  tracemalloc measured a
-# 3.1 MiB peak for one P=2 QPSK exhaustive decode on a zero channel, where
-# every candidate ties, and about 1 MiB on a typical 6 dB block.
+# many nodes, deepest piece first.  Below the root's children, which every
+# block of a batch adds to, the frontier then stays within _FRONTIER_BYTES
+# whatever the batch, even when every node survives.  tracemalloc measured a
+# whole P=2 QPSK exhaustive decode call on a zero channel, where every
+# candidate ties, at 3.1 MiB for one block, 4.5 for three and 6.3 for nine
+# (the harness's chunk cap); at 6 dB, at 1.1, 2.2 and 4.0 MiB.
 _PIECE_NODES = 1024
 _FRONTIER_BYTES = 4 << 20
 # Real coordinates the sphere search fixes per level of its tree, so a level
@@ -273,13 +276,24 @@ def candidates_per_pass(config: SystemConfig, mode: str) -> int:
     return q ** (config.symbols_per_group // _STEPS[mode])
 
 
-def pass_bytes(config: SystemConfig, mode: str) -> int:
-    """Bytes one decode call holds besides its per-tone arrays, whatever its
-    batch: the product's metric slice, or at most the sphere search's frontier."""
+def pass_bytes(config: SystemConfig, mode: str) -> tuple[int, int]:
+    """(call, block): the bytes one decode call holds whatever its batch, and
+    what it adds per block of the batch besides the block's per-tone arrays.
+
+    A product pass holds its metric slice, and nothing per block past its
+    per-tone coefficients.  A sphere-search pass holds at most _FRONTIER_BYTES
+    of frontier, and per group the peak of its model or of its root's expansion.
+    """
     size = candidates_per_pass(config, mode)
-    if size > _PRODUCT_CANDIDATES:
-        return _FRONTIER_BYTES
-    return 8 * size * _metric_rows(config.num_groups, size)
+    if size <= _PRODUCT_CANDIDATES:
+        return 8 * size * _metric_rows(config.num_groups, size), 0
+    n, c = size.bit_length() - 1, _LEVEL_COORDINATES  # every coordinate is +-1
+    rows = config.num_states * config.group_span * config.num_rx
+    # [H_eff, y], its conjugate transpose and their complex Gram matrix; or the
+    # real factor, the level tables and three [2^c, n - c] arrays of the root's children.
+    model = 16 * (n + 1) * (2 * rows + n + 1)
+    root = 8 * ((n + 1) ** 2 + (1 << c) * (sum(range(n, 0, -c)) + 3 * (n - c)))
+    return _FRONTIER_BYTES, config.num_groups * max(model, root)
 
 
 def decode(received: ReceivedBlock, grid: ChannelFrequencyGrid, config: SystemConfig,

@@ -47,7 +47,8 @@ _MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
 # Blocks whose seed words run_point computes at once: 70 us + 0.4 us/block on 2 vCPUs.
 _WINDOW_BLOCKS = 256
 
-# Byte budget of the arrays one chunk of blocks holds at once.  It sets how
+# Byte budget of the arrays one chunk of blocks holds at once, unless its
+# decode call's fixed bytes exceed half of it (see _chunk_cap).  It sets how
 # much a sweep's peak resident set grows, heap fragmentation included: on the
 # default P=2 BPSK code the benchmark's curve-p2 peak grew by about 0.4 MiB
 # with one block per chunk, about 0.6 MiB with this budget (5 blocks),
@@ -55,10 +56,10 @@ _WINDOW_BLOCKS = 256
 # On a 2-vCPU host, chunks past 5 blocks saved at most about a tenth of the
 # wall time (at 15 blocks).
 _CHUNK_BYTES = 384 * 1024
-# Bytes a block adds to a chunk per tone, state and receive antenna, besides
-# what a decode call holds whatever its batch (decoder.pass_bytes): its bits,
-# response and samples, and decode's scaled response, Gram matrices, matched
-# filter and coefficient rows.
+# Bytes a block adds to a chunk per tone, state and receive antenna: its bits,
+# response and samples, and decode's per-tone arrays (scaled response, Gram
+# matrices, matched filter and coefficient rows).  decoder.pass_bytes gives
+# what a decode call adds per block beyond these.
 _TONE_BYTES = 256
 
 DEFAULT_SNR_DB = tuple(float(s) for s in range(0, 21, 2))
@@ -141,8 +142,15 @@ class SweepSpec:
                 f"exhaustive decoder, got {cfg.num_states}, {cfg.code_paths} and "
                 f"{self.decoder_mode}"
             )
+        for name in ("noiseless", "independent_streams"):
+            value = getattr(self, name)
+            if not isinstance(value, (bool, np.bool_)):
+                raise InvalidSpecError(f"{name} must be a bool, got {value!r}")
+            object.__setattr__(self, name, bool(value))
         # The results header stores the label on one line and strips it when read.
         label = self.scenario_label
+        if not isinstance(label, str):
+            raise InvalidSpecError(f"scenario_label must be a string, got {label!r}")
         if not label or label != label.strip() or any(c in label for c in "\t\n\r"):
             raise InvalidSpecError(f"scenario_label {label!r} must be one non-empty line, unpadded")
 
@@ -258,17 +266,21 @@ def _scenario_key(spec: SweepSpec) -> int | None:
 
 
 def _chunk_cap(spec: SweepSpec) -> int:
-    """Most blocks one chunk may hold within _CHUNK_BYTES.
+    """Most blocks one chunk may hold.
 
-    The chunk holds what one decode call holds whatever its batch (its
-    metric slice, or its sphere search's frontier) and about _TONE_BYTES per
-    tone, state and receive antenna of each block.  A code whose decode call
-    alone fills the budget (P=2 QPSK exhaustive: a frontier of up to 4 MiB)
-    runs one block at a time.
+    A decode call holds its fixed bytes once whatever its batch (its metric
+    slice, or its sphere search's frontier), and each block adds _TONE_BYTES
+    per tone, state and receive antenna and what decode holds per block
+    (decoder.pass_bytes).  The blocks get what _CHUNK_BYTES leaves beside the
+    fixed bytes, or as many bytes as the fixed bytes when that is more, so a
+    chunk holds at most twice its decode call's fixed bytes.  P=2 BPSK
+    exhaustive (a 64 KiB metric slice) runs 5 blocks per chunk, and P=2 QPSK
+    exhaustive (a frontier of up to 4 MiB, and about 0.4 MiB per block) 9.
     """
     cfg = spec.config
-    block = _TONE_BYTES * cfg.num_states * cfg.num_subcarriers * cfg.num_rx
-    return max(1, (_CHUNK_BYTES - pass_bytes(cfg, spec.decoder_mode)) // block)
+    call, per_block = pass_bytes(cfg, spec.decoder_mode)
+    block = _TONE_BYTES * cfg.num_states * cfg.num_subcarriers * cfg.num_rx + per_block
+    return max(1, max(_CHUNK_BYTES - call, call) // block)
 
 
 def _chunk_errors(spec: SweepSpec, scheme: QosfScheme, snr_linear: float, window: tuple,

@@ -5,7 +5,9 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from qosf.channel import ChannelFrequencyGrid, apply, draw_channel, frequency_response
+from qosf.channel import (
+    ChannelFrequencyGrid, ReceivedBlock, apply, draw_channel, frequency_response,
+)
 from qosf.codec import build_theta, encode
 from qosf.core import (
     BPSK, QPSK, CapExceededError, bits_per_symbol, constellation_points, labels_to_bits,
@@ -18,7 +20,7 @@ from oracles import (
 from qosf import SystemConfig
 from qosf import decoder
 from qosf.decoder import DECOUPLED, EXHAUSTIVE, candidates_per_pass, decode
-from qosf.harness import SCENARIOS
+from qosf.harness import SCENARIOS, SweepSpec, _chunk_cap
 from qosf.schemes import alamouti_variant, p1_variant
 
 
@@ -321,24 +323,50 @@ def test_sphere_search_ties_past_the_greedy_leaf_go_to_the_smallest_tuple():
     assert decoder._sphere_search(low[None], z[None]).tolist() == [0]
 
 
+def test_batched_sphere_search_matches_single_blocks():
+    # One call decodes four P=2 QPSK exhaustive blocks, so the frontier's
+    # pieces straddle blocks: a zero channel, where every candidate ties, and
+    # channels scaled to 0, 7.5 and 15 dB.  Each block decodes as it does
+    # alone, and as the two-product oracle scores it.
+    cfg = SystemConfig(constellation=QPSK)
+    rng = np.random.default_rng(17)
+    blocks = []
+    for snr_db in (None, 0.0, 7.5, 15.0):
+        grid = frequency_response(draw_channel(cfg, rng), cfg)
+        gain = 0.0 if snr_db is None else 10 ** ((snr_db - 10.0) / 20)
+        blocks.append(_transmit(cfg, rng, grid=ChannelFrequencyGrid(gain * grid.response))[1:])
+    received = ReceivedBlock(np.stack([r.samples for r, _ in blocks]), 10.0)
+    grid = ChannelFrequencyGrid(np.stack([g.response for _, g in blocks]))
+    decoded = decode(received, grid, cfg)
+    for b, (one, one_grid) in enumerate(blocks):
+        npt.assert_array_equal(decoded[b], decode(one, one_grid, cfg))
+        npt.assert_array_equal(decoded[b], two_product_decode(one, one_grid, cfg))
+
+
 def test_sphere_search_memory_is_bounded():
-    # One P=2 QPSK exhaustive decode holds at most 16 MiB, also on a zero
+    # A P=2 QPSK exhaustive decode of one block, and of as many as the
+    # harness puts in one chunk, holds at most 16 MiB, also on a zero
     # channel, where every candidate ties and no node can be pruned, and it
     # caches no table of its 65,536 candidates.
     cfg = SystemConfig(constellation=QPSK)
     rng = np.random.default_rng(16)
-    zero = ChannelFrequencyGrid(response=np.zeros((2, 128, 1, 2), dtype=complex))
-    first = labels_to_bits(np.zeros((cfg.num_groups, cfg.symbols_per_group), dtype=int), QPSK)
     decoder._candidates.cache_clear()
-    for grid in (zero, None):
-        _, received, grid = _transmit(cfg, rng, snr_linear=10 ** 0.6, grid=grid)
-        tracemalloc.start()
-        try:
-            decoded = decode(received, grid, cfg)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak <= 16 * 2 ** 20
-        if grid is zero:
-            npt.assert_array_equal(decoded, first)
+    for count in (1, _chunk_cap(SweepSpec(config=cfg))):
+        zero = ChannelFrequencyGrid(response=np.zeros((count, 2, 128, 1, 2), dtype=complex))
+        noisy = frequency_response(draw_channel(cfg, [rng] * count), cfg)
+        first = labels_to_bits(np.zeros((count, cfg.num_groups, cfg.symbols_per_group),
+                                        dtype=int), QPSK).reshape(count, -1)
+        for grid in (zero, noisy):
+            bits = rng.integers(0, 2, (count, first.shape[1]))
+            symbols = modulate(bits.reshape(-1), QPSK).reshape(count, -1)
+            received = apply(encode(symbols, cfg), grid, 10 ** 0.6, [rng] * count)
+            tracemalloc.start()
+            try:
+                decoded = decode(received, grid, cfg)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak <= 16 * 2 ** 20, (count, peak)
+            if grid is zero:
+                npt.assert_array_equal(decoded, first)
     assert decoder._candidates.cache_info().currsize == 0

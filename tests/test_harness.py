@@ -90,6 +90,24 @@ def test_spec_rejects_bad_values(small_config, kw):
         SweepSpec(config=config, **kw)
 
 
+@pytest.mark.parametrize("field, value, kind", [
+    # "no" used to run a noiseless sweep; these flags wrote results files
+    # that do not read back, and the label raised AttributeError.
+    ("noiseless", "no", "a bool"),
+    ("noiseless", None, "a bool"),
+    ("independent_streams", 1, "a bool"),
+    ("scenario_label", 5, "a string"),
+])
+def test_spec_rejects_flags_and_labels_of_the_wrong_type(small_config, field, value, kind):
+    with pytest.raises(InvalidSpecError, match=f"^{field} must be {kind}, got {value!r}$"):
+        SweepSpec(config=small_config, **{field: value})
+
+
+def test_spec_takes_numpy_bool_flags(small_config):
+    spec = SweepSpec(config=small_config, noiseless=np.True_, independent_streams=np.False_)
+    assert spec.noiseless is True and spec.independent_streams is False
+
+
 @pytest.mark.parametrize("field", ["min_bit_errors", "max_ofdm_blocks"])
 @pytest.mark.parametrize("value", [2.5, 3.0, True, "20", None])
 def test_spec_rejects_non_integer_stop_rule(small_config, field, value):
@@ -323,12 +341,33 @@ def test_run_point_cuts_the_last_chunk_at_the_stop(small_config, monkeypatch):
     assert chunks[-1].start < used < chunks[-1].stop
 
 
+def test_run_point_chunks_the_sphere_search(monkeypatch):
+    # P=2 QPSK exhaustive decodes several blocks per call: at 6 dB the error
+    # target ends the point, at 10 dB the 40-block cap does.
+    chunks = []
+    chunk_errors = harness._chunk_errors
+
+    def recording(spec, scheme, snr_linear, window, blocks):
+        chunks.append(blocks)
+        return chunk_errors(spec, scheme, snr_linear, window, blocks)
+
+    monkeypatch.setattr(harness, "_chunk_errors", recording)
+    spec = SweepSpec(config=SystemConfig(constellation=QPSK), snr_db_points=(6.0, 10.0),
+                     max_ofdm_blocks=40)
+    for i, snr in enumerate(spec.snr_db_points):
+        chunks.clear()
+        assert run_point(spec, snr, i) == serial_point(spec, snr, i), snr
+        assert max(len(c) for c in chunks) >= 3, snr
+
+
 def test_chunk_cap_follows_the_metric_size():
-    # One P=2 QPSK exhaustive block's [groups, K] metric is 16 MiB: it runs alone.
+    # The sphere search's frontier is charged once per decode call, so P=2
+    # QPSK exhaustive runs several blocks per chunk; curve-p2's default P=2
+    # BPSK exhaustive code keeps its 5.
     qpsk = dataclasses.replace(SystemConfig(), constellation=QPSK)
-    assert harness._chunk_cap(SweepSpec(config=qpsk)) == 1
+    assert harness._chunk_cap(SweepSpec(config=qpsk)) >= 3
     assert harness._chunk_cap(SweepSpec(config=qpsk, decoder_mode=DECOUPLED)) > 1
-    assert harness._chunk_cap(SweepSpec(config=SystemConfig())) > 1
+    assert harness._chunk_cap(SweepSpec(config=SystemConfig())) == 5
 
 
 def test_default_worker_count_env(monkeypatch):
