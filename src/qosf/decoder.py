@@ -37,18 +37,17 @@ DEFAULT_SEARCH_CAP = 2 ** 20
 # the search for P=2 BPSK exhaustive (256 candidates), and 0.63-0.71 against
 # 3.2-3.5 ms for P=2 QPSK decoupled (two passes of 256).  One P=2 QPSK
 # exhaustive block (65,536) took 6.5 ms with the product, 1.9-2.1 with the
-# search; the search runs several such blocks per call (see pass_bytes).
+# search; the harness batches up to six such blocks per call.
 _PRODUCT_CANDIDATES = 256
 
 # The sphere search expands its tree breadth-first in pieces of at most this
-# many nodes, deepest piece first.  Below the root's children, which every
-# block of a batch adds to, the frontier then stays within _FRONTIER_BYTES
-# whatever the batch, even when every node survives.  tracemalloc measured a
-# whole P=2 QPSK exhaustive decode call on a zero channel, where every
-# candidate ties, at 3.1 MiB for one block, 4.5 for three and 6.3 for nine
-# (the harness's chunk cap); at 6 dB, at 1.1, 2.2 and 4.0 MiB.
+# many nodes, deepest piece first, so its frontier stays within about 4 MiB
+# even when every node survives.  Below the root's children, which every
+# block of a batch adds to, that bound does not grow with the batch.
+# tracemalloc measured a whole P=2 QPSK exhaustive decode call on a zero
+# channel, where every candidate ties, at 2.9 MiB for one block, 4.2 for three
+# and 5.1 for six (the harness's chunk cap); at 6 dB, at 0.9, 2.1 and 2.9 MiB.
 _PIECE_NODES = 1024
-_FRONTIER_BYTES = 4 << 20
 # Real coordinates the sphere search fixes per level of its tree, so a level
 # has 16 children per node.  On P=2 QPSK exhaustive (16 coordinates, 6-14 dB)
 # a 2-vCPU host decoded a block in about 1.3 ms with 4 per level, 1.5-1.6 ms
@@ -255,7 +254,8 @@ def _sphere_search(low, z) -> np.ndarray:
 def _distances(level, group, dist, resid):
     """[N, C] partial distances of the C children of each of N nodes."""
     lo, hi, t, _ = level
-    diff = resid[:, None, lo:hi] - t[group]
+    diff = t[group]  # subtracted in place: a piece holds one [N, C, hi - lo] copy
+    np.subtract(resid[:, None, lo:hi], diff, out=diff)
     return dist[:, None] + np.einsum("ncj,ncj->nc", diff, diff)
 
 
@@ -265,7 +265,9 @@ def _children(level, keep, group, code, resid):
     lo, hi, _, u = level
     parent, choice = np.divmod(keep, 1 << (hi - lo))
     group = group[parent]
-    return group, (code[parent] << (hi - lo)) | choice, resid[parent, :lo] - u[group, choice]
+    resid = resid[parent, :lo]
+    resid -= u[group, choice]
+    return group, (code[parent] << (hi - lo)) | choice, resid
 
 
 def candidates_per_pass(config: SystemConfig, mode: str) -> int:
@@ -276,24 +278,17 @@ def candidates_per_pass(config: SystemConfig, mode: str) -> int:
     return q ** (config.symbols_per_group // _STEPS[mode])
 
 
-def pass_bytes(config: SystemConfig, mode: str) -> tuple[int, int]:
-    """(call, block): the bytes one decode call holds whatever its batch, and
-    what it adds per block of the batch besides the block's per-tone arrays.
+def pass_bytes(config: SystemConfig, mode: str) -> int:
+    """Bytes one decode call holds whatever its batch that a chunk's byte
+    budget must leave room for: a product pass's metric slice.
 
-    A product pass holds its metric slice, and nothing per block past its
-    per-tone coefficients.  A sphere-search pass holds at most _FRONTIER_BYTES
-    of frontier, and per group the peak of its model or of its root's expansion.
+    A sphere-search pass gives 0.  _PIECE_NODES bounds its frontier whatever
+    the batch, so the frontier is held once per decode call beside the budget.
     """
     size = candidates_per_pass(config, mode)
-    if size <= _PRODUCT_CANDIDATES:
-        return 8 * size * _metric_rows(config.num_groups, size), 0
-    n, c = size.bit_length() - 1, _LEVEL_COORDINATES  # every coordinate is +-1
-    rows = config.num_states * config.group_span * config.num_rx
-    # [H_eff, y], its conjugate transpose and their complex Gram matrix; or the
-    # real factor, the level tables and three [2^c, n - c] arrays of the root's children.
-    model = 16 * (n + 1) * (2 * rows + n + 1)
-    root = 8 * ((n + 1) ** 2 + (1 << c) * (sum(range(n, 0, -c)) + 3 * (n - c)))
-    return _FRONTIER_BYTES, config.num_groups * max(model, root)
+    if size > _PRODUCT_CANDIDATES:
+        return 0
+    return 8 * size * _metric_rows(config.num_groups, size)
 
 
 def decode(received: ReceivedBlock, grid: ChannelFrequencyGrid, config: SystemConfig,

@@ -47,8 +47,8 @@ _MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
 # Blocks whose seed words run_point computes at once: 70 us + 0.4 us/block on 2 vCPUs.
 _WINDOW_BLOCKS = 256
 
-# Byte budget of the arrays one chunk of blocks holds at once, unless its
-# decode call's fixed bytes exceed half of it (see _chunk_cap).  It sets how
+# Byte budget of the arrays one chunk of blocks holds at once, beside the
+# sphere search's frontier, which does not grow with the batch.  It sets how
 # much a sweep's peak resident set grows, heap fragmentation included: on the
 # default P=2 BPSK code the benchmark's curve-p2 peak grew by about 0.4 MiB
 # with one block per chunk, about 0.6 MiB with this budget (5 blocks),
@@ -58,8 +58,8 @@ _WINDOW_BLOCKS = 256
 _CHUNK_BYTES = 384 * 1024
 # Bytes a block adds to a chunk per tone, state and receive antenna: its bits,
 # response and samples, and decode's per-tone arrays (scaled response, Gram
-# matrices, matched filter and coefficient rows).  decoder.pass_bytes gives
-# what a decode call adds per block beyond these.
+# matrices, matched filter and coefficient rows).  A decode call adds what
+# decoder.pass_bytes gives once, whatever its batch.
 _TONE_BYTES = 256
 
 DEFAULT_SNR_DB = tuple(float(s) for s in range(0, 21, 2))
@@ -266,21 +266,17 @@ def _scenario_key(spec: SweepSpec) -> int | None:
 
 
 def _chunk_cap(spec: SweepSpec) -> int:
-    """Most blocks one chunk may hold.
+    """Most blocks one chunk may hold within _CHUNK_BYTES.
 
-    A decode call holds its fixed bytes once whatever its batch (its metric
-    slice, or its sphere search's frontier), and each block adds _TONE_BYTES
-    per tone, state and receive antenna and what decode holds per block
-    (decoder.pass_bytes).  The blocks get what _CHUNK_BYTES leaves beside the
-    fixed bytes, or as many bytes as the fixed bytes when that is more, so a
-    chunk holds at most twice its decode call's fixed bytes.  P=2 BPSK
-    exhaustive (a 64 KiB metric slice) runs 5 blocks per chunk, and P=2 QPSK
-    exhaustive (a frontier of up to 4 MiB, and about 0.4 MiB per block) 9.
+    The chunk holds what one decode call holds whatever its batch and that
+    decoder.pass_bytes charges to the budget (a product pass's metric slice),
+    and about _TONE_BYTES per tone, state and receive antenna of each block.
+    P=2 BPSK exhaustive (a 64 KiB metric slice) runs 5 blocks per chunk.  The
+    sphere search's frontier is not charged, so P=2 QPSK exhaustive runs 6.
     """
     cfg = spec.config
-    call, per_block = pass_bytes(cfg, spec.decoder_mode)
-    block = _TONE_BYTES * cfg.num_states * cfg.num_subcarriers * cfg.num_rx + per_block
-    return max(1, max(_CHUNK_BYTES - call, call) // block)
+    block = _TONE_BYTES * cfg.num_states * cfg.num_subcarriers * cfg.num_rx
+    return max(1, (_CHUNK_BYTES - pass_bytes(cfg, spec.decoder_mode)) // block)
 
 
 def _chunk_errors(spec: SweepSpec, scheme: QosfScheme, snr_linear: float, window: tuple,

@@ -361,13 +361,17 @@ def test_run_point_chunks_the_sphere_search(monkeypatch):
 
 
 def test_chunk_cap_follows_the_metric_size():
-    # The sphere search's frontier is charged once per decode call, so P=2
-    # QPSK exhaustive runs several blocks per chunk; curve-p2's default P=2
-    # BPSK exhaustive code keeps its 5.
+    # The sphere search's frontier does not grow with the batch and is not
+    # charged to the chunk budget, so P=2 QPSK exhaustive runs several blocks
+    # per chunk.  The product path's metric slice is: curve-p2's default P=2
+    # BPSK exhaustive code keeps its 5, and a P=1 QPSK exhaustive code on 512
+    # tones, whose one-block slice fills most of the budget, runs one block.
     qpsk = dataclasses.replace(SystemConfig(), constellation=QPSK)
     assert harness._chunk_cap(SweepSpec(config=qpsk)) >= 3
     assert harness._chunk_cap(SweepSpec(config=qpsk, decoder_mode=DECOUPLED)) > 1
     assert harness._chunk_cap(SweepSpec(config=SystemConfig())) == 5
+    wide = SystemConfig(constellation=QPSK, num_subcarriers=512, cp_len=256)
+    assert harness._chunk_cap(scenario_spec("qosf-p1", wide)) == 1
 
 
 def test_default_worker_count_env(monkeypatch):
