@@ -7,8 +7,9 @@ exhaustive (or decoupled) search over all groups of a batch of blocks at once,
 one pass per searched set of positions.  A pass of at most _PRODUCT_CANDIDATES
 candidates scores them all with one real matrix product against a cached real
 feature table.  A larger pass (P=2 QPSK exhaustive: 65,536) runs an exact
-sphere search over the pass's real-linear model instead, with every group in
-lockstep, and never builds a table of its candidates.
+sphere search over the pass's real-linear model instead, in slices of at most
+_SEARCH_GROUPS groups with every group of a slice in lockstep, and never
+builds a table of its candidates.
 """
 
 from __future__ import annotations
@@ -40,14 +41,16 @@ DEFAULT_SEARCH_CAP = 2 ** 20
 # search; the harness batches up to six such blocks per call.
 _PRODUCT_CANDIDATES = 256
 
-# The sphere search expands its tree breadth-first in pieces of at most this
-# many nodes, deepest piece first, so its frontier stays within about 4 MiB
-# even when every node survives.  Below the root's children, which every
-# block of a batch adds to, that bound does not grow with the batch.
-# tracemalloc measured a whole P=2 QPSK exhaustive decode call on a zero
-# channel, where every candidate ties, at 2.9 MiB for one block, 4.2 for three
-# and 5.1 for six (the harness's chunk cap); at 6 dB, at 0.9, 2.1 and 2.9 MiB.
-_PIECE_NODES = 1024
+# The sphere search expands its tree in pieces of at most _PIECE_NODES nodes,
+# deepest first, and decode runs it in slices of at most _SEARCH_GROUPS groups
+# (3 one-antenna blocks), so a call's working set does not grow with its batch.
+# tracemalloc read a P=2 QPSK exhaustive call of 1, 3 and 6 blocks at 1.9, 2.6
+# and 2.6 MiB on a zero channel (every candidate ties), and 0.4-0.7, 1.2 and
+# 1.4 MiB at 6 dB; pieces of 1,024 in one slice read 2.9, 4.2 and 5.1, and 0.9,
+# 2.1 and 2.9.  On 2 vCPUs, pieces of 1,024 decoded 10-15% faster at +0.3 MiB
+# (6 dB), and one slice of 6 blocks 20-35% faster at 2.0 MiB.
+_PIECE_NODES = 512
+_SEARCH_GROUPS = 96
 # Real coordinates the sphere search fixes per level of its tree, so a level
 # has 16 children per node.  On P=2 QPSK exhaustive (16 coordinates, 6-14 dB)
 # a 2-vCPU host decoded a block in about 1.3 ms with 4 per level, 1.5-1.6 ms
@@ -182,7 +185,9 @@ def _sphere_model(h, y, basis):
     np.matmul(h, np.moveaxis(basis, 0, -1), out=heff[..., :n])
     heff[..., n] = y
     heff = heff.reshape(g, -1, n + 1)
-    gram = np.matmul(np.conj(heff.swapaxes(1, 2)), heff).real
+    # Re(A^H A) as one real product over the stacked real and imaginary parts.
+    stacked = np.concatenate((heff.real, heff.imag), axis=1)
+    gram = np.matmul(stacked.swapaxes(1, 2), stacked)
     diagonal = np.einsum("gkk->gk", gram)  # a writeable view
     diagonal[:, :n] += 1e-12 * diagonal[:, :n].mean(axis=1, keepdims=True) + 1e-300
     diagonal[:, n] = 2.0 * diagonal[:, n] + 1.0  # keeps the factor real: |z|^2 <= |y|^2
@@ -194,8 +199,9 @@ def _levels(low):
     """The search's levels, top first: (lo, hi, t, u) fixes coordinates lo..hi-1.
 
     Choice c of a level sets x_{lo+j} = -1 where bit j of c is set.  For
-    every group, t[g, c] is (l^T x) on rows lo..hi-1 and u[g, c] on rows below
-    lo, from the level's coordinates alone.
+    every group, t[g, j, c] is row lo + j of l^T x and u[g, c] its rows below
+    lo, from the level's coordinates alone.  Both are copies, coordinate-major
+    t for _distances, so no [G, C, hi] product stays alive.
     """
     levels = []
     for hi in range(low.shape[-1], 0, -_LEVEL_COORDINATES):
@@ -203,7 +209,7 @@ def _levels(low):
         choice = np.arange(1 << (hi - lo))
         x = 1.0 - 2.0 * ((choice[:, None] >> np.arange(hi - lo)) & 1)
         rows = x @ low[:, lo:hi, :hi]
-        levels.append((lo, hi, rows[..., lo:], rows[..., :lo]))
+        levels.append((lo, hi, rows[..., lo:].transpose(0, 2, 1).copy(), rows[..., :lo].copy()))
     return levels
 
 
@@ -211,25 +217,32 @@ def _sphere_search(low, z) -> np.ndarray:
     """Index of the ML tuple of every group: the x in {-1, +1}^n minimizing
     |z - l^T x|^2, read as the bits of x = -1, the first minimum in tuple order.
 
-    A greedy descent (the best choice at every level) sets each group's
-    starting radius.  The tree is then expanded a few coordinates per level
-    with every group's nodes in one array, each node keeping its residual
-    z - l^T x on the rows not yet fixed, and nodes whose partial distance
-    exceeds their group's radius are dropped.  Partial distances only grow,
-    so the ML leaf always survives.  Nodes stay sorted by (group, tuple), and
-    the frontier runs in pieces of at most _PIECE_NODES, the first piece to
-    the leaves first; each leaf found tightens its group's radius for the
-    later pieces.
+    A descent that keeps each group's two best nodes at every level sets each
+    group's starting radius and best leaf (K-best, K = 2: Guo & Nilsson, IEEE
+    JSAC 24(3), 2006), by the tree's own _distances and _children arithmetic,
+    so the tree meets that leaf again at the same distance.  It leaves the
+    tree 15k, 5k and 2.5k child distances per P=2 QPSK exhaustive block at 6,
+    10 and 14 dB (23k, 9k and 4.4k after a greedy descent), and costs 3.6k.
+    The tree is expanded a few coordinates per level with every group's nodes
+    in one array, each node keeping its residual z - l^T x on the rows not yet
+    fixed, and nodes whose partial distance exceeds their group's radius are
+    dropped.  Partial distances only grow, so the ML leaf always survives.
+    Nodes stay sorted by (group, tuple), and the frontier runs in pieces of at
+    most _PIECE_NODES, the first piece to the leaves first; each leaf found
+    tightens its group's radius for the later pieces.
     """
     g = z.shape[0]
     levels = _levels(low)
     groups = np.arange(g)
-    best_dist, best_code, resid = np.zeros(g), np.zeros(g, dtype=np.int64), z
+    group, dist, code, resid = groups, np.zeros(g), np.zeros(g, dtype=np.int64), z
     for level in levels:
-        dist = _distances(level, groups, best_dist, resid)
-        keep = np.argmin(dist, axis=1) + dist.shape[1] * groups
-        best_dist = dist.reshape(-1)[keep]
-        _, best_code, resid = _children(level, keep, groups, best_code, resid)
+        per_group = _distances(level, group, dist, resid).reshape(g, -1)
+        keep = (np.argpartition(per_group, 1, axis=1)[:, :2]
+                + per_group.shape[1] * groups[:, None]).reshape(-1)
+        dist = per_group.reshape(-1)[keep]
+        group, code, resid = _children(level, keep, group, code, resid)
+    start = np.argmin(dist.reshape(g, 2), axis=1) + 2 * groups
+    best_dist, best_code = dist[start], code[start]
     stack = [(0, groups, np.zeros(g), np.zeros(g, dtype=np.int64), z)]
     while stack:
         depth, group, dist, code, resid = stack.pop()
@@ -252,11 +265,20 @@ def _sphere_search(low, z) -> np.ndarray:
 
 
 def _distances(level, group, dist, resid):
-    """[N, C] partial distances of the C children of each of N nodes."""
+    """[N, C] partial distances of the C children of each of N nodes.
+
+    The c terms are summed as [N, C] planes in coordinate order: 89 us for a
+    512-node piece, against 334 us for einsum over a gathered [N, C, c] copy.
+    """
     lo, hi, t, _ = level
-    diff = t[group]  # subtracted in place: a piece holds one [N, C, hi - lo] copy
-    np.subtract(resid[:, None, lo:hi], diff, out=diff)
-    return dist[:, None] + np.einsum("ncj,ncj->nc", diff, diff)
+    diff = t[group]  # a gathered [N, c, C] copy, squared in place
+    np.subtract(resid[:, lo:hi, None], diff, out=diff)
+    diff *= diff
+    total = diff[:, 0].copy()
+    for j in range(1, hi - lo):
+        total += diff[:, j]
+    total += dist[:, None]
+    return total
 
 
 def _children(level, keep, group, code, resid):
@@ -317,7 +339,10 @@ def decode(received: ReceivedBlock, grid: ChannelFrequencyGrid, config: SystemCo
         h = h.reshape((-1,) + h.shape[2:])
         y = group_windows(samples, config).reshape((-1,) + h.shape[1:-1])
         for offset in range(step):
-            index[:, offset] = _sphere_search(*_sphere_model(h, y, _basis(*code, step, offset)))
+            basis = _basis(*code, step, offset)
+            for start in range(0, h.shape[0], _SEARCH_GROUPS):
+                part = slice(start, start + _SEARCH_GROUPS)
+                index[part, offset] = _sphere_search(*_sphere_model(h[part], y[part], basis))
     else:
         coeffs = _coefficients(samples, response, received.snr_linear, config)
         for offset in range(step):

@@ -99,6 +99,8 @@ class SweepSpec:
     independent_streams: bool = False
 
     def __post_init__(self):
+        if not isinstance(self.config, SystemConfig):
+            raise InvalidSpecError(f"config must be a SystemConfig, got {self.config!r}")
         points = self.snr_db_points
         if isinstance(points, (str, bytes)):
             raise InvalidSpecError(f"snr_db_points must be a sequence of numbers, "
@@ -303,12 +305,13 @@ def run_point(spec: SweepSpec, snr_db: float, snr_index: int) -> BerPoint:
     random stream, so sweeps whose grids share a common prefix draw the same
     channels and noise at the same SNR.
 
-    Blocks run in chunks.  The first chunk is one block; each later one is at
-    most twice the last, at most the blocks the error rate so far predicts
-    are still needed, and at most _chunk_cap and the _WINDOW_BLOCKS whose
-    seed words are computed at once.  The point ends at the first block whose
-    running error count reaches min_bit_errors, as if the blocks had run one
-    at a time, and the chunk's later blocks are dropped.
+    Blocks run in chunks of at most _chunk_cap, the budget left and the
+    _WINDOW_BLOCKS whose seed words are computed at once.  Within that, no chunk
+    is smaller than the blocks still needed for certain (a block has at most
+    bits_per_block errors); past that floor, the first is one block and each
+    later one at most twice the last and the blocks the error rate so far
+    predicts.  The point ends at the first block whose running error count
+    reaches min_bit_errors, as if the blocks had run one at a time.
     """
     scheme = build_scheme(spec)
     snr_linear = 10.0 ** (snr_db / 10.0)
@@ -317,7 +320,8 @@ def run_point(spec: SweepSpec, snr_db: float, snr_index: int) -> BerPoint:
     size = 1
     key, window = _scenario_key(spec), (0, ())  # no seed words yet
     while errors < spec.min_bit_errors and blocks < spec.max_ofdm_blocks:
-        size = min(size, spec.max_ofdm_blocks - blocks)
+        floor = -(-(spec.min_bit_errors - errors) // scheme.bits_per_block)
+        size = min(max(size, floor), cap, spec.max_ofdm_blocks - blocks)
         if blocks + size > window[0] + len(window[1]):
             span = range(blocks, min(blocks + _WINDOW_BLOCKS, spec.max_ofdm_blocks))
             window = (blocks, seed_words(spec.config.master_seed, snr_index, span, key))

@@ -16,6 +16,7 @@ import pytest
 from click.testing import CliRunner
 from scipy import optimize, special, stats
 
+from oracles import two_product_decode
 from qosf import SystemConfig
 from qosf.channel import ChannelFrequencyGrid, ReceivedBlock, apply, draw_channel, frequency_response
 from qosf.cli import main as cli_main
@@ -248,6 +249,30 @@ def test_criterion_05_ml_optimality(capsys):
         capsys, 5, "ML optimality",
         ok, f"{violations} argmin mismatches over {trials} noisy blocks",
     )
+
+
+def test_sphere_search_matches_the_two_product_oracle_at_size():
+    # Criterion 5 checks the product path.  Here the sphere search decides
+    # 1,000 P=2 QPSK exhaustive blocks (65,536 candidates per group) from -3
+    # to 18 dB, batched five to a call as the harness batches them, exactly
+    # as the oracle's argmin over every candidate does.
+    cfg = SystemConfig(constellation=QPSK)
+    rng = np.random.default_rng(1000)
+    batch, count = 5, cfg.num_groups * cfg.symbols_per_group * 2
+    mismatches = blocks = 0
+    for snr_db in (-3.0, 0.0, 3.0, 6.0, 9.0, 12.0, 15.0, 18.0):
+        snr = 10 ** (snr_db / 10)
+        for _ in range(125 // batch):
+            symbols = modulate(rng.integers(0, 2, batch * count), QPSK).reshape(batch, -1)
+            grid = frequency_response(draw_channel(cfg, [rng] * batch), cfg)
+            received = apply(encode(symbols, cfg), grid, snr, [rng] * batch)
+            decoded = decode(received, grid, cfg)
+            for b in range(batch):
+                oracle = two_product_decode(ReceivedBlock(received.samples[b], snr),
+                                            ChannelFrequencyGrid(grid.response[b]), cfg)
+                mismatches += not np.array_equal(decoded[b], oracle)
+                blocks += 1
+    assert (blocks, mismatches) == (1000, 0)
 
 
 def test_criterion_06_decoupled_equals_exhaustive(capsys):

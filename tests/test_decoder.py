@@ -307,18 +307,22 @@ def test_sphere_search_matches_product_on_every_small_pass(monkeypatch, small_co
                     npt.assert_array_equal(decode(received, grid, cfg, mode=mode), product)
 
 
-def test_sphere_search_ties_past_the_greedy_leaf_go_to_the_smallest_tuple():
-    # Two levels: x1..x4 on top, x0 below, coupled to x4 by l[4, 0].  The
-    # greedy descent takes x4 = -1 (top distance 0.5625 against 1.5625) and
-    # reaches tuple 16, which ties with tuple 0 at 1.5625, exactly in binary.
-    # Only a search that keeps nodes at the best distance and compares tuples
-    # on equal distances returns 0.
+def test_sphere_search_ties_past_the_start_leaf_go_to_the_smallest_tuple():
+    # Two levels: x1..x4 on top, x0 below, coupled to x4 by l[4, 0].  On top,
+    # x1 = x2 = +1 cost nothing, x3 = -1 costs 1 more than +1, and x4 = +1
+    # costs 2 more than -1.  So the two best top nodes are tuples 16 (0.8125)
+    # and 24 (1.8125), not tuple 0 (2.8125), and the 2-best start reaches
+    # leaf 16, which ties with leaf 0 at 3.0625, exactly in binary.  Only a
+    # search that keeps nodes at the best distance and compares tuples on
+    # equal distances returns 0.
     low = np.eye(5)
     low[4, 0] = 0.5
-    z = np.array([1.5, 1.0, 1.0, 1.0, -0.25])
+    z = np.array([2.0, 1.0, 1.0, 0.25, -0.5])
     x = 1.0 - 2.0 * ((np.arange(32)[:, None] >> np.arange(5)) & 1)
     dist = np.sum((z - x @ low) ** 2, axis=1)
     assert np.flatnonzero(dist == dist.min()).tolist() == [0, 16]
+    top = np.sum((z[1:] - x[::2, 1:]) ** 2, axis=1)  # tuple 2i's top node is row i
+    assert (2 * np.argsort(top)[:3]).tolist() == [16, 24, 0]
     assert decoder._LEVEL_COORDINATES == 4
     assert decoder._sphere_search(low[None], z[None]).tolist() == [0]
 
@@ -344,14 +348,16 @@ def test_batched_sphere_search_matches_single_blocks():
 
 
 def test_sphere_search_memory_is_bounded():
-    # A P=2 QPSK exhaustive decode of one block, and of as many as the
-    # harness puts in one chunk, holds at most 16 MiB, also on a zero
-    # channel, where every candidate ties and no node can be pruned, and it
-    # caches no table of its 65,536 candidates.
+    # A P=2 QPSK exhaustive decode of one block, three, and as many as the
+    # harness puts in one chunk holds at most 16 MiB, also on a zero channel,
+    # where every candidate ties and no node can be pruned, and it caches no
+    # table of its 65,536 candidates.  The search runs in slices of groups,
+    # so at 6 dB a whole chunk peaks within 25% of three blocks.
     cfg = SystemConfig(constellation=QPSK)
     rng = np.random.default_rng(16)
     decoder._candidates.cache_clear()
-    for count in (1, _chunk_cap(SweepSpec(config=cfg))):
+    noisy_peaks = {}
+    for count in (1, 3, _chunk_cap(SweepSpec(config=cfg))):
         zero = ChannelFrequencyGrid(response=np.zeros((count, 2, 128, 1, 2), dtype=complex))
         noisy = frequency_response(draw_channel(cfg, [rng] * count), cfg)
         first = labels_to_bits(np.zeros((count, cfg.num_groups, cfg.symbols_per_group),
@@ -369,4 +375,8 @@ def test_sphere_search_memory_is_bounded():
             assert peak <= 16 * 2 ** 20, (count, peak)
             if grid is zero:
                 npt.assert_array_equal(decoded, first)
+            else:
+                noisy_peaks[count] = peak
+    assert max(noisy_peaks) == 6
+    assert noisy_peaks[6] <= 1.25 * noisy_peaks[3], noisy_peaks
     assert decoder._candidates.cache_info().currsize == 0

@@ -97,10 +97,13 @@ def test_spec_rejects_bad_values(small_config, kw):
     ("noiseless", None, "a bool"),
     ("independent_streams", 1, "a bool"),
     ("scenario_label", 5, "a string"),
+    # A config dict built, and run_point then raised AttributeError.
+    ("config", {"constellation": "qpsk"}, "a SystemConfig"),
 ])
 def test_spec_rejects_flags_and_labels_of_the_wrong_type(small_config, field, value, kind):
-    with pytest.raises(InvalidSpecError, match=f"^{field} must be {kind}, got {value!r}$"):
-        SweepSpec(config=small_config, **{field: value})
+    with pytest.raises(InvalidSpecError,
+                       match=f"^{field} must be {kind}, got {re.escape(repr(value))}$"):
+        SweepSpec(**{"config": small_config, field: value})
 
 
 def test_spec_takes_numpy_bool_flags(small_config):
@@ -322,36 +325,62 @@ def test_run_point_matches_serial_loop_across_windows(small_config, monkeypatch,
 
 
 def test_run_point_cuts_the_last_chunk_at_the_stop(small_config, monkeypatch):
-    chunks = []
-    chunk_errors = harness._chunk_errors
-
-    def recording(spec, scheme, snr_linear, snr_index, blocks):
-        chunks.append(blocks)
-        return chunk_errors(spec, scheme, snr_linear, snr_index, blocks)
-
-    monkeypatch.setattr(harness, "_chunk_errors", recording)
+    # No chunk is smaller than the blocks the stop rule needs for certain,
+    # ceil(errors still needed / bits_per_block), within the cap and budget.
+    chunks, counts = _record_chunks(monkeypatch)
     spec = _tiny_spec(small_config, min_bit_errors=40, max_ofdm_blocks=1000)
     point = run_point(spec, 6.0, 1)
     assert point == serial_point(spec, 6.0, 1)
+    bits = build_scheme(spec).bits_per_block
+    cap = min(harness._chunk_cap(spec), harness._WINDOW_BLOCKS)
+    floors = [-(-(spec.min_bit_errors - sum(counts[:i])) // bits) for i in range(len(chunks))]
     sizes = [len(c) for c in chunks]
-    assert sizes[0] == 1 and all(b <= 2 * a for a, b in zip(sizes, sizes[1:]))
+    assert floors[0] > 1
+    assert sizes[0] == max(1, min(floors[0], cap, spec.max_ofdm_blocks))
+    assert all(b <= max(2 * a, f) for a, b, f in zip(sizes, sizes[1:], floors[1:]))
     assert [c.start for c in chunks[1:]] == [c.stop for c in chunks[:-1]]
-    used = point.bits_simulated // build_scheme(spec).bits_per_block
+    used = point.bits_simulated // bits
     # The stop fell inside the last chunk, whose later blocks were dropped.
     assert chunks[-1].start < used < chunks[-1].stop
+
+
+def _record_chunks(monkeypatch):
+    """Record the block range and the error count of every chunk run_point runs."""
+    chunks, counts = [], []
+    chunk_errors = harness._chunk_errors
+
+    def recording(spec, scheme, snr_linear, window, blocks):
+        chunks.append(blocks)
+        errors = chunk_errors(spec, scheme, snr_linear, window, blocks)
+        counts.append(int(errors.sum()))
+        return errors
+
+    monkeypatch.setattr(harness, "_chunk_errors", recording)
+    return chunks, counts
+
+
+def test_run_point_runs_fixed_budgets_in_whole_chunks(monkeypatch, small_config):
+    # A min_bit_errors no budget can reach puts every block past the floor:
+    # a 13-block P=2 QPSK exhaustive point runs as 6 + 6 + 1.  A stop rule
+    # that one block could meet still starts at one block.
+    chunks, _ = _record_chunks(monkeypatch)
+    fixed = SweepSpec(config=SystemConfig(constellation=QPSK), snr_db_points=(6.0,),
+                      min_bit_errors=10 ** 9, max_ofdm_blocks=13)
+    cap = harness._chunk_cap(fixed)
+    assert run_point(fixed, 6.0, 0) == serial_point(fixed, 6.0, 0)
+    assert len(chunks) == -(-fixed.max_ofdm_blocks // cap) == 3
+    assert [len(c) for c in chunks] == [cap, cap, 1]
+    chunks.clear()
+    bits = build_scheme(_tiny_spec(small_config)).bits_per_block
+    stop = _tiny_spec(small_config, min_bit_errors=bits, max_ofdm_blocks=1000)
+    assert run_point(stop, 2.0, 0) == serial_point(stop, 2.0, 0)
+    assert len(chunks[0]) == 1
 
 
 def test_run_point_chunks_the_sphere_search(monkeypatch):
     # P=2 QPSK exhaustive decodes several blocks per call: at 6 dB the error
     # target ends the point, at 10 dB the 40-block cap does.
-    chunks = []
-    chunk_errors = harness._chunk_errors
-
-    def recording(spec, scheme, snr_linear, window, blocks):
-        chunks.append(blocks)
-        return chunk_errors(spec, scheme, snr_linear, window, blocks)
-
-    monkeypatch.setattr(harness, "_chunk_errors", recording)
+    chunks, _ = _record_chunks(monkeypatch)
     spec = SweepSpec(config=SystemConfig(constellation=QPSK), snr_db_points=(6.0, 10.0),
                      max_ofdm_blocks=40)
     for i, snr in enumerate(spec.snr_db_points):
