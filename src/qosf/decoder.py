@@ -4,12 +4,15 @@ The code places each group of 2*P*L symbols on a disjoint window of L*Mt
 subcarriers, and the frequency-domain channel acts independently per
 subcarrier, so the ML metric separates over groups.  Decoding runs an
 exhaustive (or decoupled) search over all groups of a batch of blocks at once,
-one pass per searched set of positions.  A pass of at most _PRODUCT_CANDIDATES
-candidates scores them all with one real matrix product against a cached real
-feature table.  A larger pass (P=2 QPSK exhaustive: 65,536) runs an exact
-sphere search over the pass's real-linear model instead, in slices of at most
-_SEARCH_GROUPS groups with every group of a slice in lockstep, and never
-builds a table of its candidates.
+one pass per searched set of positions, on one model of the call: the scaled
+responses and observations of every group's window.  Every candidate of a
+pass is a +-1 combination of the pass's basis codewords (Viterbo & Boutros,
+IEEE Trans. IT 45(5), 1999), numbered by its signs.  A pass of at most
+_PRODUCT_CANDIDATES candidates scores them all with one real matrix product
+against a cached real feature table of those combinations.  A larger pass
+(P=2 QPSK exhaustive: 65,536) runs an exact sphere search over the same
+model instead, in slices of at most _SEARCH_GROUPS groups with every group of
+a slice in lockstep, and never builds a table of its candidates.
 """
 
 from __future__ import annotations
@@ -21,9 +24,7 @@ import numpy as np
 from .channel import ChannelFrequencyGrid, ReceivedBlock
 from .codec import NUM_TX, build_theta, group_codewords, group_windows
 from .config import SystemConfig
-from .core import (
-    CapExceededError, bits_per_symbol, constellation_points, labels_to_bits, product_rows,
-)
+from .core import CapExceededError, bits_per_symbol, constellation_points, labels_to_bits
 
 # Largest candidate set one search pass may cover.  QPSK with P=2, L=2 has
 # 2PL = 8 symbols per group and 4**8 = 2**16 candidates; the decoupled search
@@ -58,10 +59,10 @@ _SEARCH_GROUPS = 96
 _LEVEL_COORDINATES = 4
 
 # Decode evaluates its [rows, K] metric in row slices of at most this many
-# bytes, but never fewer rows than one block's groups, so a batch's metric
-# never exceeds one block's or this.  On a 2-vCPU host, P=2 BPSK sweeps with
-# 256 KiB slices (four blocks) ran at the same wall time but 1.8x the CPU per
-# block, spent in OpenBLAS's second thread.
+# bytes, but never fewer rows than one block's groups, so a call holds one
+# block's metric or this, whatever its batch.  On a 2-vCPU host, P=2 BPSK
+# sweeps with 256 KiB slices (four blocks) ran at the same wall time but 1.8x
+# the CPU per block, spent in OpenBLAS's second thread.
 _METRIC_BYTES = 1 << 16
 
 EXHAUSTIVE = "exhaustive"
@@ -70,73 +71,66 @@ DECOUPLED = "decoupled"
 _STEPS = {EXHAUSTIVE: 1, DECOUPLED: 2}
 
 
+def _signs(count: int) -> np.ndarray:
+    """[2**count, count] +-1 rows: row r has -1 in column k where bit k of r is set."""
+    return 1.0 - 2.0 * ((np.arange(1 << count)[:, None] >> np.arange(count)) & 1)
+
+
 @functools.lru_cache(maxsize=16)
 def _candidates(constellation: str, rotation_angles: tuple, num_states: int,
                 code_paths: int, step: int, offset: int):
     """Candidate features, cached per code and pass and shared read-only.
 
-    The pass searches positions offset, offset + step, ... of a group, the
-    others zeroed, and column r is the candidate product_rows spells as row r.
-    The table is real and C-contiguous, [8*P*span, K]: per tone, |c0|^2,
-    |c1|^2, 2 Re(c0* c1), -2 Im(c0* c1), Re c0, Im c0, Re c1 and Im c1.  That
-    is 64 bytes per tone and candidate, 128 KiB for P=2 BPSK's 256.  Nothing
-    else is kept, and passes past _PRODUCT_CANDIDATES never build one.
+    Column r is the candidate x_r @ _basis, x_r = _signs(n)[r]: the tuple the
+    sphere search and decode's label step number r.  The table is real and
+    C-contiguous, [8*P*span, K]: per tone, |c0|^2, |c1|^2, 2 Re(c0* c1),
+    -2 Im(c0* c1), Re c0, Im c0, Re c1 and Im c1.  That is 64 bytes per tone
+    and candidate, 128 KiB for P=2 BPSK's 256.  Nothing else is kept, and
+    passes past _PRODUCT_CANDIDATES never build one.
     """
-    pl = num_states * code_paths
-    points = constellation_points(constellation)
-    labels = product_rows(np.arange(points.size), 2 * pl // step)
-    theta = build_theta(rotation_angles, pl)
-    features = np.empty((8 * num_states * 2 * code_paths, labels.shape[0]))
-    # The codewords, a chunk of candidates at a time so their transpose stays in cache.
-    for start in range(0, labels.shape[0], 4096):
-        part = slice(start, start + 4096)
-        symbols = np.zeros((labels[part].shape[0], 2 * pl), dtype=complex)
-        symbols[:, offset::step] = points[labels[part]]
-        codewords = group_codewords(symbols, theta, num_states, code_paths)
-        rows = features[:, part].reshape(num_states, 2 * code_paths, 8, -1)
-        rows[:, :, 4:] = np.moveaxis(codewords.view(float), 0, -1)  # Re c0, Im c0, Re c1, Im c1
-        r0, i0, r1, i1 = np.moveaxis(rows[:, :, 4:], 2, 0)
-        rows[:, :, 0], rows[:, :, 1] = r0 * r0 + i0 * i0, r1 * r1 + i1 * i1
-        rows[:, :, 2], rows[:, :, 3] = 2.0 * (r0 * r1 + i0 * i1), 2.0 * (i0 * r1 - r0 * i1)
+    basis = _basis(constellation, rotation_angles, num_states, code_paths, step, offset)
+    n = basis.shape[0]
+    # [P*span*4, K] columns: Re c0, Im c0, Re c1 and Im c1 per tone.
+    codewords = (_signs(n) @ basis.reshape(n, -1).view(float)).T
+    features = np.empty((codewords.shape[0] // 4, 8, codewords.shape[1]))
+    features[:, 4:] = codewords.reshape(-1, 4, codewords.shape[1])
+    r0, i0, r1, i1 = np.moveaxis(features[:, 4:], 1, 0)
+    features[:, 0], features[:, 1] = r0 * r0 + i0 * i0, r1 * r1 + i1 * i1
+    features[:, 2], features[:, 3] = 2.0 * (r0 * r1 + i0 * i1), 2.0 * (i0 * r1 - r0 * i1)
+    features = features.reshape(-1, codewords.shape[1])
     features.flags.writeable = False
     return features
 
 
-def _coefficients(samples, response, snr_linear, config):
-    """The real metric coefficient row of every group of a batch of blocks.
+def _coefficients(h, y):
+    """The real metric coefficient row of every group.
 
-    Minimizing |y - s H c|^2 less |y|^2 is minimizing c^H (s^2 H^H H) c -
-    2 Re(c^H s H^H y).  The Gram matrix is Hermitian per tone, so the metric
+    Minimizing |y - H c|^2 less |y|^2 is minimizing c^H (H^H H) c -
+    2 Re(c^H H^H y).  The Gram matrix is Hermitian per tone, so the metric
     is a group's real row (G00, G11, Re G01, Im G01, then -2 Re m and -2 Im m
     of the matched filter m, per tone) times a candidate's feature column.
-    samples [B, P, Nc, Mr] and response [B, P, Nc, Mr, Mt] give [B*M, 8*P*span].
+    h [G, P, span, Mr, Mt] are the scaled responses and y [G, P, span, Mr]
+    the observations; the rows are [G, 8*P*span].
     """
-    # [B, M, P, span, Mr, Mt] scaled responses s H and [B, M, P, span, Mr] observations y
-    h = np.sqrt(snr_linear / NUM_TX) * group_windows(response, config)
     h_conj = np.conj(h)
-    matched = np.einsum("bmpnji,bmpnj->bmpni", h_conj, group_windows(samples, config))
-    gram = np.einsum("bmpnji,bmpnjk->bmpnik", h_conj, h)
-    del h, h_conj  # a chunk's working set peaks here; the rows need only gram and matched
-    coeffs = np.empty(matched.shape[:4] + (8,))
+    matched = np.einsum("gpnji,gpnj->gpni", h_conj, y)
+    gram = np.einsum("gpnji,gpnjk->gpnik", h_conj, h)
+    del h_conj  # the rows need only gram and matched
+    coeffs = np.empty(matched.shape[:3] + (8,))
     coeffs[..., 0:2] = np.diagonal(gram, axis1=-2, axis2=-1).real
     coeffs[..., 2], coeffs[..., 3] = gram[..., 0, 1].real, gram[..., 0, 1].imag
     np.multiply(matched.real, -2.0, out=coeffs[..., 4::2])
     np.multiply(matched.imag, -2.0, out=coeffs[..., 5::2])
-    return coeffs.reshape(-1, 8 * config.num_states * config.group_span)
-
-
-def _metric_rows(num_groups: int, candidates: int) -> int:
-    """Rows of one slice of the [rows, K] metric: as many as fit in
-    _METRIC_BYTES, but never fewer than one block's groups."""
-    return max(num_groups, _METRIC_BYTES // (8 * candidates))
+    return coeffs.reshape(h.shape[0], -1)
 
 
 def _argmin_rows(coeffs, features, num_groups: int):
     """Index of the metric-minimizing candidate for every row: one real
-    product per slice of _metric_rows rows, into one reused buffer.  argmin
-    keeps the first minimum, the smallest tuple."""
+    product per slice of rows, as many as fit in _METRIC_BYTES but never
+    fewer than one block's groups, into one reused buffer.  argmin keeps the
+    first minimum, the smallest tuple."""
     total = coeffs.shape[0]
-    rows = _metric_rows(num_groups, features.shape[1])
+    rows = max(num_groups, _METRIC_BYTES // (8 * features.shape[1]))
     metric = np.empty((min(rows, total), features.shape[1]))
     best = np.empty(total, dtype=np.intp)
     for r in range(0, total, rows):
@@ -206,9 +200,7 @@ def _levels(low):
     levels = []
     for hi in range(low.shape[-1], 0, -_LEVEL_COORDINATES):
         lo = max(0, hi - _LEVEL_COORDINATES)
-        choice = np.arange(1 << (hi - lo))
-        x = 1.0 - 2.0 * ((choice[:, None] >> np.arange(hi - lo)) & 1)
-        rows = x @ low[:, lo:hi, :hi]
+        rows = _signs(hi - lo) @ low[:, lo:hi, :hi]
         levels.append((lo, hi, rows[..., lo:].transpose(0, 2, 1).copy(), rows[..., :lo].copy()))
     return levels
 
@@ -300,19 +292,6 @@ def candidates_per_pass(config: SystemConfig, mode: str) -> int:
     return q ** (config.symbols_per_group // _STEPS[mode])
 
 
-def pass_bytes(config: SystemConfig, mode: str) -> int:
-    """Bytes one decode call holds whatever its batch that a chunk's byte
-    budget must leave room for: a product pass's metric slice.
-
-    A sphere-search pass gives 0.  _PIECE_NODES bounds its frontier whatever
-    the batch, so the frontier is held once per decode call beside the budget.
-    """
-    size = candidates_per_pass(config, mode)
-    if size > _PRODUCT_CANDIDATES:
-        return 0
-    return 8 * size * _metric_rows(config.num_groups, size)
-
-
 def decode(received: ReceivedBlock, grid: ChannelFrequencyGrid, config: SystemConfig,
            mode: str = EXHAUSTIVE, cap: int = DEFAULT_SEARCH_CAP) -> np.ndarray:
     """Recover the transmitted bit stream from one received OFDM block.
@@ -329,28 +308,28 @@ def decode(received: ReceivedBlock, grid: ChannelFrequencyGrid, config: SystemCo
     if size > cap:
         raise CapExceededError(f"{mode} search needs {size} candidates per pass, cap is {cap}")
     lead = received.samples.shape[:-3]
-    samples = received.samples.reshape((-1,) + received.samples.shape[-3:])
     response = grid.response.reshape((-1,) + grid.response.shape[-4:])
+    h = np.sqrt(received.snr_linear / NUM_TX) * group_windows(response, config)
+    h = h.reshape((-1,) + h.shape[2:])  # [G, P, span, Mr, Mt] over every block's groups
+    samples = received.samples.reshape((-1,) + received.samples.shape[-3:])
+    y = group_windows(samples, config).reshape(h.shape[:-1])
     code = (config.constellation, config.rotation_angles, config.num_states, config.code_paths)
     step = _STEPS[mode]
-    index = np.empty((samples.shape[0] * config.num_groups, step), dtype=np.int64)
-    if size > _PRODUCT_CANDIDATES:
-        h = np.sqrt(received.snr_linear / NUM_TX) * group_windows(response, config)
-        h = h.reshape((-1,) + h.shape[2:])
-        y = group_windows(samples, config).reshape((-1,) + h.shape[1:-1])
-        for offset in range(step):
+    index = np.empty((h.shape[0], step), dtype=np.int64)
+    coeffs = _coefficients(h, y) if size <= _PRODUCT_CANDIDATES else None
+    for offset in range(step):
+        if coeffs is not None:
+            index[:, offset] = _argmin_rows(coeffs, _candidates(*code, step, offset),
+                                            config.num_groups)
+        else:
             basis = _basis(*code, step, offset)
             for start in range(0, h.shape[0], _SEARCH_GROUPS):
                 part = slice(start, start + _SEARCH_GROUPS)
                 index[part, offset] = _sphere_search(*_sphere_model(h[part], y[part], basis))
-    else:
-        coeffs = _coefficients(samples, response, received.snr_linear, config)
-        for offset in range(step):
-            index[:, offset] = _argmin_rows(coeffs, _candidates(*code, step, offset),
-                                            config.num_groups)
-    # Both searches number a pass's candidates as product_rows does: base-q digit
-    # j of the index, first position most significant, is the point at group
-    # position offset + step*j, so [g, j, offset] is the group's symbol order.
+    # Both searches number a pass's candidates by their +-1 basis signs, which
+    # spell the labels: base-q digit j of the index, first position most
+    # significant, is the point at group position offset + step*j, so
+    # [g, j, offset] is the group's symbol order.
     width = bits_per_symbol(config.constellation)
     shifts = width * np.arange(config.symbols_per_group // step - 1, -1, -1)
     labels = (index[:, None, :] >> shifts[:, None]) & ((1 << width) - 1)

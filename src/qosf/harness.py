@@ -27,7 +27,7 @@ import numpy as np
 
 from .channel import apply, draw_channel, frequency_response
 from .config import SystemConfig, config_from_dict, config_to_dict, is_integer, is_real
-from .decoder import DECOUPLED, EXHAUSTIVE, pass_bytes
+from .decoder import DECOUPLED, EXHAUSTIVE
 from .schemes import QosfScheme, alamouti_variant, p1_variant
 from .version import __version__
 
@@ -47,19 +47,18 @@ _MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
 # Blocks whose seed words run_point computes at once: 70 us + 0.4 us/block on 2 vCPUs.
 _WINDOW_BLOCKS = 256
 
-# Byte budget of the arrays one chunk of blocks holds at once, beside the
-# sphere search's frontier, which does not grow with the batch.  It sets how
-# much a sweep's peak resident set grows, heap fragmentation included: on the
-# default P=2 BPSK code the benchmark's curve-p2 peak grew by about 0.4 MiB
-# with one block per chunk, about 0.6 MiB with this budget (5 blocks),
-# 0.8-1.0 MiB with 512 KiB (7 blocks) and 1.1 MiB with 768 KiB (11 blocks).
-# On a 2-vCPU host, chunks past 5 blocks saved at most about a tenth of the
-# wall time (at 15 blocks).
+# Byte budget of the arrays one chunk of blocks holds at once, beside what a
+# decode call holds once whatever its batch: the product path's metric slice
+# or the sphere search's frontier.  It sets how much a sweep's peak resident
+# set grows, heap fragmentation included: on the default P=2 BPSK code the
+# benchmark's curve-p2 peak grew by about 0.4 MiB with one block per chunk,
+# about 0.6 MiB with 5 blocks, 0.04 MiB more with 6, 0.8-1.0 MiB with 7 and
+# 1.1 MiB with 11.  On a 2-vCPU host, chunks past 5 blocks saved at most
+# about a tenth of the wall time (at 15 blocks).
 _CHUNK_BYTES = 384 * 1024
 # Bytes a block adds to a chunk per tone, state and receive antenna: its bits,
 # response and samples, and decode's per-tone arrays (scaled response, Gram
-# matrices, matched filter and coefficient rows).  A decode call adds what
-# decoder.pass_bytes gives once, whatever its batch.
+# matrices, matched filter and coefficient rows).
 _TONE_BYTES = 256
 
 DEFAULT_SNR_DB = tuple(float(s) for s in range(0, 21, 2))
@@ -268,17 +267,13 @@ def _scenario_key(spec: SweepSpec) -> int | None:
 
 
 def _chunk_cap(spec: SweepSpec) -> int:
-    """Most blocks one chunk may hold within _CHUNK_BYTES.
-
-    The chunk holds what one decode call holds whatever its batch and that
-    decoder.pass_bytes charges to the budget (a product pass's metric slice),
-    and about _TONE_BYTES per tone, state and receive antenna of each block.
-    P=2 BPSK exhaustive (a 64 KiB metric slice) runs 5 blocks per chunk.  The
-    sphere search's frontier is not charged, so P=2 QPSK exhaustive runs 6.
+    """Most blocks one chunk may hold within _CHUNK_BYTES, at about _TONE_BYTES
+    per tone, state and receive antenna of each block: 6 for the default P=2
+    code on 128 tones, 12 for P=1.  What a decode call holds once is not charged.
     """
     cfg = spec.config
     block = _TONE_BYTES * cfg.num_states * cfg.num_subcarriers * cfg.num_rx
-    return max(1, (_CHUNK_BYTES - pass_bytes(cfg, spec.decoder_mode)) // block)
+    return max(1, _CHUNK_BYTES // block)
 
 
 def _chunk_errors(spec: SweepSpec, scheme: QosfScheme, snr_linear: float, window: tuple,

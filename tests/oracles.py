@@ -4,7 +4,8 @@ The program encodes and decodes every group of a block in one vectorized
 pass.  These are the straightforward scalar versions: one group, one state,
 one Alamouti block at a time, and a decoder that forms every predicted
 observation.  Tests check the batched paths against them, check decode's
-one real product against the two complex products it replaced, and check
+one real product against the two complex products it replaced and its
+feature table against the one built from product-order labels, and check
 the harness's chunked block loop against the one-block-at-a-time loop it
 replaced, and the harness's windowed seed tree against numpy's SeedSequence,
 which it reproduces.  The module also holds the inverses the program never
@@ -178,10 +179,13 @@ GROUP_DECODERS = {
 def two_product_decode(received, grid, config, mode: str = EXHAUSTIVE) -> np.ndarray:
     """decode() as it was before its single real product, for the same bits.
 
-    Scores every candidate of a pass with two complex products over complex
-    codeword and outer-product tables, s^2 <H^H H, conj(c) c^T> - 2 s Re<H^H y,
-    conj(c)>, and keeps the first minimum.  In exact arithmetic this is the
-    metric decode() takes from its real feature table; only rounding differs.
+    Scores every candidate of a pass with the two products over codeword and
+    outer-product tables, s^2 <H^H H, conj(c) c^T> - 2 s Re<H^H y, conj(c)>,
+    written in real form: one real product of the stacked real and imaginary
+    parts of [s^2 H^H H, -2 s H^H y] with those of the [outer, conj(c)]
+    table, so only the real part is ever formed.  Keeps the first minimum.
+    In exact arithmetic this is the metric decode() takes from its real
+    feature table; only rounding differs.
     """
     step = {EXHAUSTIVE: 1, DECOUPLED: 2}[mode]
     pl, m = config.pl, config.num_groups
@@ -190,30 +194,51 @@ def two_product_decode(received, grid, config, mode: str = EXHAUSTIVE) -> np.nda
     scale = np.sqrt(received.snr_linear / NUM_TX)
     matched = np.einsum("mpnji,mpnj->mpni", np.conj(h), y).reshape(m, -1)
     gram = np.einsum("mpnji,mpnjk->mpnik", np.conj(h), h).reshape(m, -1)
+    weights = np.concatenate((scale * scale * gram, -2.0 * scale * matched), axis=1)
+    weights = np.concatenate((weights.real, -weights.imag), axis=1)
     labels = np.empty((m, 2 * pl), dtype=np.intp)
     for offset in range(step):
-        table, codewords, outer = _two_product_tables(
+        table, columns = _two_product_tables(
             config.constellation, config.rotation_angles, config.num_states, config.code_paths,
             step, offset)
-        metric = scale * scale * (gram @ outer.T).real
-        metric -= 2.0 * scale * (matched @ codewords.T).real
-        labels[:, offset::step] = table[np.argmin(metric, axis=1)]
+        labels[:, offset::step] = table[np.argmin(weights @ columns, axis=1)]
     return labels_to_bits(labels, config.constellation)
 
 
-@functools.lru_cache(maxsize=2)
-def _two_product_tables(constellation, rotation_angles, num_states, code_paths, step, offset):
-    """two_product_decode's [K] labels, [K, P*span*Mt] conjugate codewords and
-    [K, P*span*Mt*Mt] outer products of one pass, kept for the next call."""
+def _pass_codewords(constellation, rotation_angles, num_states, code_paths, step, offset):
+    """[K, 2PL/step] labels of one pass in product_rows order, and the [K, P,
+    span, Mt] codewords of those points at the pass's positions, others zero."""
     pl = num_states * code_paths
     points = constellation_points(constellation)
-    table = product_rows(np.arange(points.size), 2 * pl // step)
-    symbols = np.zeros((table.shape[0], 2 * pl), dtype=complex)
-    symbols[:, offset::step] = points[table]
-    codewords = group_codewords(symbols, build_theta(rotation_angles, pl), num_states, code_paths)
-    outer = np.conj(codewords)[:, :, :, :, None] * codewords[:, :, :, None, :]
+    labels = product_rows(np.arange(points.size), 2 * pl // step)
+    symbols = np.zeros((labels.shape[0], 2 * pl), dtype=complex)
+    symbols[:, offset::step] = points[labels]
+    return labels, group_codewords(symbols, build_theta(rotation_angles, pl), num_states,
+                                   code_paths)
+
+
+@functools.lru_cache(maxsize=2)
+def _two_product_tables(*code):
+    """two_product_decode's [K] labels and the [2D, K] real and imaginary parts
+    of one pass's stacked outer products conj(c) c^T and conjugate codewords
+    conj(c), D = P*span*Mt*(Mt + 1), kept for the next call."""
+    labels, codewords = _pass_codewords(*code)
     k = codewords.shape[0]
-    return table, np.conj(codewords).reshape(k, -1), outer.reshape(k, -1)
+    outer = np.conj(codewords)[:, :, :, :, None] * codewords[:, :, :, None, :]
+    stacked = np.concatenate((outer.reshape(k, -1), np.conj(codewords).reshape(k, -1)), axis=1)
+    return labels, np.ascontiguousarray(np.concatenate((stacked.real, stacked.imag), axis=1).T)
+
+
+def product_features(*code):
+    """decoder._candidates as it was first written, for code (constellation,
+    rotation_angles, num_states, code_paths, step, offset): the [8*P*span, K]
+    feature table of one pass, from product_rows labels through group_codewords."""
+    _, codewords = _pass_codewords(*code)
+    k = codewords.shape[0]
+    r0, i0, r1, i1 = np.moveaxis(codewords.view(float), 0, -1).reshape(-1, 4, k).swapaxes(0, 1)
+    rows = [r0 * r0 + i0 * i0, r1 * r1 + i1 * i1, 2.0 * (r0 * r1 + i0 * i1),
+            2.0 * (i0 * r1 - r0 * i1), r0, i0, r1, i1]
+    return np.stack(rows, axis=1).reshape(-1, k)
 
 
 def seed_tree_rng(master_seed: int, snr_index: int, block_index: int, stream: int,

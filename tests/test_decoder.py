@@ -15,12 +15,12 @@ from qosf.core import (
 )
 from oracles import (
     GROUP_DECODERS, decoupled_ml_decode_group, demodulate, group_observation, ml_decode_group,
-    two_product_decode,
+    product_features, two_product_decode,
 )
 from qosf import SystemConfig
 from qosf import decoder
 from qosf.decoder import DECOUPLED, EXHAUSTIVE, candidates_per_pass, decode
-from qosf.harness import SCENARIOS, SweepSpec, _chunk_cap
+from qosf.harness import _TONE_BYTES, SCENARIOS, SweepSpec, _chunk_cap
 from qosf.schemes import alamouti_variant, p1_variant
 
 
@@ -380,3 +380,48 @@ def test_sphere_search_memory_is_bounded():
     assert max(noisy_peaks) == 6
     assert noisy_peaks[6] <= 1.25 * noisy_peaks[3], noisy_peaks
     assert decoder._candidates.cache_info().currsize == 0
+
+
+@pytest.mark.parametrize("constellation", [BPSK, QPSK])
+@pytest.mark.parametrize("num_states", [1, 2])
+def test_candidate_table_follows_the_label_numbering(constellation, num_states):
+    # _candidates writes column r as the +-1 combination of the pass's basis
+    # codewords whose signs spell r.  The table from the labels product_rows
+    # spells as row r, through group_codewords, must be the same, in every
+    # pass: exhaustive (65,536 columns for P=2 QPSK, which the product path
+    # never scores) and both decoupled offsets.
+    base = SystemConfig(constellation=constellation)
+    cfg = base if num_states == 2 else p1_variant(base)
+    code = (constellation, cfg.rotation_angles, cfg.num_states, cfg.code_paths)
+    try:
+        for step, offset in ((1, 0), (2, 0), (2, 1)):
+            table = decoder._candidates(*code, step, offset)
+            assert table.flags.c_contiguous and not table.flags.writeable
+            npt.assert_allclose(table, product_features(*code, step, offset), rtol=0, atol=1e-12)
+    finally:
+        decoder._candidates.cache_clear()
+
+
+def test_product_decode_holds_its_metric_once_per_call():
+    # A P=2 BPSK exhaustive call holds one block's metric slice whatever its
+    # batch, so a 6-block chunk peaks at most one block's peak plus the five
+    # further blocks' _TONE_BYTES per tone, state and receive antenna, what
+    # the harness charges them.  An unsliced metric would add 64 KiB a block.
+    cfg = SystemConfig()
+    rng = np.random.default_rng(18)
+    per_block = _TONE_BYTES * cfg.num_states * cfg.num_subcarriers * cfg.num_rx
+    assert _chunk_cap(SweepSpec(config=cfg)) == 6
+    peaks = {}
+    for count in (1, 6):
+        bits = rng.integers(0, 2, (count, cfg.num_groups * cfg.symbols_per_group))
+        grid = frequency_response(draw_channel(cfg, [rng] * count), cfg)
+        received = apply(encode(modulate(bits.reshape(-1), BPSK).reshape(count, -1), cfg),
+                          grid, 10.0, [rng] * count)
+        decode(received, grid, cfg)  # the feature table is cached, not counted
+        tracemalloc.start()
+        try:
+            decode(received, grid, cfg)
+            peaks[count] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert peaks[6] <= peaks[1] + 5 * per_block, (peaks, per_block)

@@ -389,18 +389,21 @@ def test_run_point_chunks_the_sphere_search(monkeypatch):
         assert max(len(c) for c in chunks) >= 3, snr
 
 
-def test_chunk_cap_follows_the_metric_size():
-    # The sphere search's frontier does not grow with the batch and is not
-    # charged to the chunk budget, so P=2 QPSK exhaustive runs several blocks
-    # per chunk.  The product path's metric slice is: curve-p2's default P=2
-    # BPSK exhaustive code keeps its 5, and a P=1 QPSK exhaustive code on 512
-    # tones, whose one-block slice fills most of the budget, runs one block.
-    qpsk = dataclasses.replace(SystemConfig(), constellation=QPSK)
-    assert harness._chunk_cap(SweepSpec(config=qpsk)) >= 3
-    assert harness._chunk_cap(SweepSpec(config=qpsk, decoder_mode=DECOUPLED)) > 1
-    assert harness._chunk_cap(SweepSpec(config=SystemConfig())) == 5
+def test_chunk_cap_counts_only_blocks():
+    # A chunk is charged _TONE_BYTES per tone, state and receive antenna of
+    # each block and nothing else: what a decode call holds once whatever its
+    # batch (the product path's metric slice, the sphere search's frontier)
+    # sits beside the budget.  curve-p2's P=2 BPSK and qpsk-ml's P=2 QPSK
+    # exhaustive codes run 6 blocks per chunk, the default P=1 scenarios 12,
+    # and a P=1 QPSK exhaustive code on 512 tones 3.
+    qpsk = SystemConfig(constellation=QPSK)
+    assert harness._chunk_cap(SweepSpec(config=SystemConfig())) == 6
+    assert harness._chunk_cap(SweepSpec(config=qpsk)) == 6
+    assert harness._chunk_cap(SweepSpec(config=qpsk, decoder_mode=DECOUPLED)) == 6
+    for scenario in ("qosf-p1", "alamouti-sf"):
+        assert harness._chunk_cap(scenario_spec(scenario, SystemConfig())) == 12
     wide = SystemConfig(constellation=QPSK, num_subcarriers=512, cp_len=256)
-    assert harness._chunk_cap(scenario_spec("qosf-p1", wide)) == 1
+    assert harness._chunk_cap(scenario_spec("qosf-p1", wide)) == 3
 
 
 def test_default_worker_count_env(monkeypatch):
