@@ -98,12 +98,8 @@ def coding_gain_metric(angles, constellation: str, pl: int) -> float:
     return float(_batch_metric(angles[None, :], constellation, pl)[0])
 
 
-def optimize_angles(
-    constellation: str,
-    pl: int,
-    resolution: float = np.pi / 36,
-    cap: int = DEFAULT_EVAL_CAP,
-) -> AngleSearchReport:
+def optimize_angles(constellation: str, pl: int,
+                    resolution: float = np.pi / 36) -> AngleSearchReport:
     """Exhaustive grid search over [0, pi)^(pl-1) plus one refinement pass.
 
     The refinement is a single round of coordinate descent scanning each
@@ -121,6 +117,7 @@ def optimize_angles(
     num_axes = pl - 1
     # n ** num_axes can run to thousands of digits.  Any n >= 2 passes the
     # cap within cap.bit_length() axes, so a power that small decides it.
+    cap = DEFAULT_EVAL_CAP  # read at call time
     if n ** min(num_axes, cap.bit_length()) > cap:
         raise CapExceededError(f"grid search needs {n}**{num_axes} evaluations, cap is {cap}")
     # An oversized difference table is refused here, before the grid is built.

@@ -101,12 +101,6 @@ def modulate(bits, constellation: str) -> np.ndarray:
     return points[bits.reshape(-1, k) @ (1 << np.arange(k - 1, -1, -1))]
 
 
-def labels_to_bits(labels, constellation: str) -> np.ndarray:
-    """Bit stream of an array of point indices, most significant bit first."""
-    shifts = np.arange(bits_per_symbol(constellation) - 1, -1, -1)
-    return ((np.asarray(labels)[..., None] >> shifts) & 1).reshape(-1).astype(np.int64)
-
-
 def complex_normal(rng: np.random.Generator | Sequence[np.random.Generator],
                    shape) -> np.ndarray:
     """Zero-mean circular complex Gaussian samples of unit variance.

@@ -7,12 +7,14 @@ exhaustive (or decoupled) search over all groups of a batch of blocks at once,
 one pass per searched set of positions, on one model of the call: the scaled
 responses and observations of every group's window.  Every candidate of a
 pass is a +-1 combination of the pass's basis codewords (Viterbo & Boutros,
-IEEE Trans. IT 45(5), 1999), numbered by its signs.  A pass of at most
-_PRODUCT_CANDIDATES candidates scores them all with one real matrix product
-against a cached real feature table of those combinations.  A larger pass
-(P=2 QPSK exhaustive: 65,536) runs an exact sphere search over the same
-model instead, in slices of at most _SEARCH_GROUPS groups with every group of
-a slice in lockstep, and never builds a table of its candidates.
+IEEE Trans. IT 45(5), 1999), numbered by its signs.  Each pass runs in
+slices of the groups, one loop for both searches.  A pass of at most
+_PRODUCT_CANDIDATES candidates scores a slice's candidates with one real
+matrix product against a cached real feature table of those combinations.  A
+larger pass (P=2 QPSK exhaustive: 65,536) runs an exact sphere search over the
+same model instead, with every group of a slice in lockstep, and never builds
+a table of its candidates.  A candidate's index is its points' Gray labels, so
+the bits are read straight off the winning indices.
 """
 
 from __future__ import annotations
@@ -24,13 +26,13 @@ import numpy as np
 from .channel import ChannelFrequencyGrid, ReceivedBlock
 from .codec import NUM_TX, build_theta, group_codewords, group_windows
 from .config import SystemConfig
-from .core import CapExceededError, bits_per_symbol, constellation_points, labels_to_bits
+from .core import CapExceededError, bits_per_symbol, constellation_points
 
 # Largest candidate set one search pass may cover.  QPSK with P=2, L=2 has
 # 2PL = 8 symbols per group and 4**8 = 2**16 candidates; the decoupled search
 # covers 2 * 4**4.  QPSK with P*L = 8 would cover 4**16 = 2**32, which is out
 # of reach even for the sphere search: it can visit every candidate of a pass
-# (all of them tie on a zero channel).
+# (all of them tie on a zero channel).  decode reads it at call time.
 DEFAULT_SEARCH_CAP = 2 ** 20
 
 # Passes with at most this many candidates score them all with one real
@@ -58,9 +60,9 @@ _SEARCH_GROUPS = 96
 # with 2 or 3, 1.7 ms with levels of 6, 6 and 2, and 4.0 ms with 8.
 _LEVEL_COORDINATES = 4
 
-# Decode evaluates its [rows, K] metric in row slices of at most this many
-# bytes, but never fewer rows than one block's groups, so a call holds one
-# block's metric or this, whatever its batch.  On a 2-vCPU host, P=2 BPSK
+# A product pass evaluates its [rows, K] metric in slices of at most this
+# many bytes, but never fewer rows than one block's groups, so a call holds
+# one block's metric or this, whatever its batch.  On a 2-vCPU host, P=2 BPSK
 # sweeps with 256 KiB slices (four blocks) ran at the same wall time but 1.8x
 # the CPU per block, spent in OpenBLAS's second thread.
 _METRIC_BYTES = 1 << 16
@@ -122,22 +124,6 @@ def _coefficients(h, y):
     np.multiply(matched.real, -2.0, out=coeffs[..., 4::2])
     np.multiply(matched.imag, -2.0, out=coeffs[..., 5::2])
     return coeffs.reshape(h.shape[0], -1)
-
-
-def _argmin_rows(coeffs, features, num_groups: int):
-    """Index of the metric-minimizing candidate for every row: one real
-    product per slice of rows, as many as fit in _METRIC_BYTES but never
-    fewer than one block's groups, into one reused buffer.  argmin keeps the
-    first minimum, the smallest tuple."""
-    total = coeffs.shape[0]
-    rows = max(num_groups, _METRIC_BYTES // (8 * features.shape[1]))
-    metric = np.empty((min(rows, total), features.shape[1]))
-    best = np.empty(total, dtype=np.intp)
-    for r in range(0, total, rows):
-        part = metric[: min(rows, total - r)]
-        np.matmul(coeffs[r:r + rows], features, out=part)
-        np.argmin(part, axis=1, out=best[r:r + rows])
-    return best
 
 
 @functools.lru_cache(maxsize=16)
@@ -293,44 +279,48 @@ def candidates_per_pass(config: SystemConfig, mode: str) -> int:
 
 
 def decode(received: ReceivedBlock, grid: ChannelFrequencyGrid, config: SystemConfig,
-           mode: str = EXHAUSTIVE, cap: int = DEFAULT_SEARCH_CAP) -> np.ndarray:
+           mode: str = EXHAUSTIVE) -> np.ndarray:
     """Recover the transmitted bit stream from one received OFDM block.
 
     Returns the bits in the original stream order (group by group, symbol by
     symbol).  mode selects "exhaustive" or "decoupled" per-group search; both
-    run one vectorized pass over all groups per searched set of positions:
-    one real product over every candidate, or, past _PRODUCT_CANDIDATES, the
-    exact sphere search.  Either way ties go to the smallest tuple.
-    A batch of blocks (leading block axes on the samples and the response)
+    run one vectorized pass per searched set of positions, over slices of the
+    groups: one real product over every candidate, or, past
+    _PRODUCT_CANDIDATES, the exact sphere search.  Either way ties go to the
+    smallest tuple.  A pass larger than DEFAULT_SEARCH_CAP is refused.  A
+    batch of blocks (leading block axes on the samples and the response)
     gives the bits of each block along the same leading axes.
     """
     size = candidates_per_pass(config, mode)
-    if size > cap:
-        raise CapExceededError(f"{mode} search needs {size} candidates per pass, cap is {cap}")
+    if size > DEFAULT_SEARCH_CAP:
+        raise CapExceededError(
+            f"{mode} search needs {size} candidates per pass, cap is {DEFAULT_SEARCH_CAP}")
     lead = received.samples.shape[:-3]
     response = grid.response.reshape((-1,) + grid.response.shape[-4:])
-    h = np.sqrt(received.snr_linear / NUM_TX) * group_windows(response, config)
-    h = h.reshape((-1,) + h.shape[2:])  # [G, P, span, Mr, Mt] over every block's groups
+    h = np.multiply(np.sqrt(received.snr_linear / NUM_TX), group_windows(response, config),
+                    order="C")
+    h = h.reshape((-1,) + h.shape[2:])  # [G, P, span, Mr, Mt] over every block's groups, a view
     samples = received.samples.reshape((-1,) + received.samples.shape[-3:])
     y = group_windows(samples, config).reshape(h.shape[:-1])
     code = (config.constellation, config.rotation_angles, config.num_states, config.code_paths)
     step = _STEPS[mode]
     index = np.empty((h.shape[0], step), dtype=np.int64)
-    coeffs = _coefficients(h, y) if size <= _PRODUCT_CANDIDATES else None
+    product = size <= _PRODUCT_CANDIDATES
+    coeffs = _coefficients(h, y) if product else None
+    rows = max(config.num_groups, _METRIC_BYTES // (8 * size)) if product else _SEARCH_GROUPS
     for offset in range(step):
-        if coeffs is not None:
-            index[:, offset] = _argmin_rows(coeffs, _candidates(*code, step, offset),
-                                            config.num_groups)
-        else:
-            basis = _basis(*code, step, offset)
-            for start in range(0, h.shape[0], _SEARCH_GROUPS):
-                part = slice(start, start + _SEARCH_GROUPS)
-                index[part, offset] = _sphere_search(*_sphere_model(h[part], y[part], basis))
+        table = (_candidates if product else _basis)(*code, step, offset)
+        for start in range(0, h.shape[0], rows):
+            part = slice(start, start + rows)
+            if product:  # argmin keeps the first minimum, the smallest tuple
+                index[part, offset] = np.argmin(coeffs[part] @ table, axis=1)
+            else:
+                index[part, offset] = _sphere_search(*_sphere_model(h[part], y[part], table))
     # Both searches number a pass's candidates by their +-1 basis signs, which
-    # spell the labels: base-q digit j of the index, first position most
-    # significant, is the point at group position offset + step*j, so
-    # [g, j, offset] is the group's symbol order.
+    # spell the Gray labels, first position most significant: bit b of the
+    # point at group position offset + step*j is bit n-1 - (width*j + b) of the
+    # n-bit index, so reading the index from its top bit gives [g, j, offset, b],
+    # the stream order.
     width = bits_per_symbol(config.constellation)
-    shifts = width * np.arange(config.symbols_per_group // step - 1, -1, -1)
-    labels = (index[:, None, :] >> shifts[:, None]) & ((1 << width) - 1)
-    return labels_to_bits(labels, config.constellation).reshape(lead + (-1,))
+    shifts = np.arange(width * config.symbols_per_group // step)[::-1].reshape(-1, 1, width)
+    return ((index[:, None, :, None] >> shifts) & 1).reshape(lead + (-1,))

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import concurrent.futures
 import functools
+import itertools
 import json
 import os
 import time
@@ -62,6 +63,9 @@ _CHUNK_BYTES = 384 * 1024
 _TONE_BYTES = 256
 
 DEFAULT_SNR_DB = tuple(float(s) for s in range(0, 21, 2))
+# Largest |SNR| in dB a point may ask for.  10**(SNR/10) must stay a normal
+# float, and decode squares its square root into Gram matrices and metrics.
+MAX_ABS_SNR_DB = 1000.0
 
 
 class InvalidSpecError(ValueError):
@@ -119,6 +123,9 @@ class SweepSpec:
         for s in points:
             if not np.isfinite(s):
                 raise InvalidSpecError(f"SNR point {s!r} dB is not finite")
+            if abs(s) > MAX_ABS_SNR_DB:
+                raise InvalidSpecError(f"SNR point {s!r} dB is outside [-{MAX_ABS_SNR_DB:g}, "
+                                       f"{MAX_ABS_SNR_DB:g}] dB")
         if any(later <= earlier for earlier, later in zip(points, points[1:])):
             raise InvalidSpecError("SNR points must be strictly increasing")
         for name in ("min_bit_errors", "max_ofdm_blocks"):
@@ -330,11 +337,6 @@ def run_point(spec: SweepSpec, snr_db: float, snr_index: int) -> BerPoint:
     return BerPoint(snr_db, blocks * scheme.bits_per_block, errors)
 
 
-def _point_task(args):
-    spec, snr_db, snr_index = args
-    return run_point(spec, snr_db, snr_index)
-
-
 def default_worker_count() -> int:
     env = os.environ.get("QOSF_WORKERS")
     if env:
@@ -358,13 +360,13 @@ def run_sweep(spec: SweepSpec, workers: int | None = None) -> SweepResult:
     if workers < 1:
         raise ValueError(f"workers must be at least 1, got {workers}")
     start = time.perf_counter()
-    tasks = [(spec, snr, i) for i, snr in enumerate(spec.snr_db_points)]
-    workers = min(workers, len(tasks))
+    snrs = spec.snr_db_points
+    workers = min(workers, len(snrs))
     if workers == 1:
-        points = [_point_task(t) for t in tasks]
+        points = [run_point(spec, snr, i) for i, snr in enumerate(snrs)]
     else:
         with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
-            points = list(pool.map(_point_task, tasks))
+            points = list(pool.map(run_point, itertools.repeat(spec), snrs, range(len(snrs))))
     return SweepResult(
         spec=spec,
         points=points,

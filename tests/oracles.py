@@ -9,8 +9,9 @@ feature table against the one built from product-order labels, and check
 the harness's chunked block loop against the one-block-at-a-time loop it
 replaced, and the harness's windowed seed tree against numpy's SeedSequence,
 which it reproduces.  The module also holds the inverses the program never
-needs: a nearest-point symbol demodulator, a codeword-dump reader, and a
-time-domain check of the channel's frequency response.
+needs: a point-label-to-bits step, a nearest-point symbol demodulator, a
+codeword-dump reader, and a time-domain check of the channel's frequency
+response.
 """
 
 import functools
@@ -20,13 +21,19 @@ import numpy as np
 
 from qosf.channel import apply, draw_channel, frequency_response
 from qosf.codec import build_theta, group_codewords, group_windows
-from qosf.core import CapExceededError, constellation_points, labels_to_bits, product_rows
+from qosf.core import CapExceededError, bits_per_symbol, constellation_points, product_rows
 from qosf.decoder import DECOUPLED, DEFAULT_SEARCH_CAP, EXHAUSTIVE
 from qosf.harness import (
     _STREAM_BITS, _STREAM_CHANNEL, _STREAM_NOISE, BerPoint, _scenario_key, build_scheme,
 )
 
 NUM_TX = 2
+
+
+def labels_to_bits(labels, constellation: str) -> np.ndarray:
+    """Bit stream of an array of point indices, most significant bit first."""
+    shifts = np.arange(bits_per_symbol(constellation) - 1, -1, -1)
+    return ((np.asarray(labels)[..., None] >> shifts) & 1).reshape(-1).astype(np.int64)
 
 
 def combine(group, theta: np.ndarray) -> np.ndarray:

@@ -111,12 +111,14 @@ def test_optimize_eval_cap():
         optimize_angles(BPSK, 4, resolution=np.pi / 300)
 
 
-def test_optimize_eval_cap_is_exact():
+def test_optimize_eval_cap_is_exact(monkeypatch):
     # The pl=4 grid holds exactly 36 ** 3 points: a cap one below stops the
     # search and the cap itself admits it.
+    monkeypatch.setattr(angleopt, "DEFAULT_EVAL_CAP", 36 ** 3 - 1)
     with pytest.raises(CapExceededError, match=r"needs 36\*\*3 evaluations, cap is 46655$"):
-        optimize_angles(BPSK, 4, cap=36 ** 3 - 1)
-    assert optimize_angles(BPSK, 4, cap=36 ** 3).evaluations == 36 ** 3 + 3 * 21
+        optimize_angles(BPSK, 4)
+    monkeypatch.setattr(angleopt, "DEFAULT_EVAL_CAP", 36 ** 3)
+    assert optimize_angles(BPSK, 4).evaluations == 36 ** 3 + 3 * 21
 
 
 def test_optimize_refuses_huge_table_before_the_grid(monkeypatch):

@@ -196,6 +196,35 @@ def test_simulate_rejects_non_finite_snr(tmp_path, small_config, snr_text, bad):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("snr_text,bad", [("4000", "4000.0"), ("-4000", "-4000.0"),
+                                          ("3080", "3080.0")])
+def test_simulate_rejects_snr_outside_the_bound(tmp_path, small_config, snr_text, bad):
+    cfg_path = _write_config(tmp_path, small_config)
+    out = tmp_path / "o"
+    result = CliRunner().invoke(
+        main, ["simulate", "--config", cfg_path, f"--snr={snr_text}", "--out", str(out)]
+    )
+    assert result.exit_code == 2, result.output
+    assert f"SNR point {bad} dB is outside [-1000, 1000] dB" in result.output
+    assert not out.exists()
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("changes", [{}, {"constellation": QPSK},
+                                     {"constellation": QPSK, "num_rx": 2}])
+def test_simulate_runs_clean_at_the_snr_bound(tmp_path, changes):
+    # Any overflow, invalid value or division by zero on the way fails the run.
+    cfg_path = _write_config(tmp_path, dataclasses.replace(SystemConfig(), **changes))
+    out = tmp_path / "o"
+    result = CliRunner().invoke(main, [
+        "simulate", "--config", cfg_path, "--snr=-1000,1000", "--out", str(out),
+        "--min-errors", "1", "--max-blocks", "2",
+    ])
+    assert result.exit_code == 0, result.output
+    low, high = read_results(out).points
+    assert low.bit_errors > 0 and high.bit_errors == 0
+
+
 def test_simulate_scenario_choices_are_the_harness_table():
     option = next(p for p in main.commands["simulate"].params if p.name == "scenario")
     assert tuple(option.type.choices) == tuple(harness.SCENARIOS)

@@ -10,12 +10,11 @@ from qosf.channel import (
 )
 from qosf.codec import build_theta, encode
 from qosf.core import (
-    BPSK, QPSK, CapExceededError, bits_per_symbol, constellation_points, labels_to_bits,
-    modulate, product_rows,
+    BPSK, QPSK, CapExceededError, bits_per_symbol, constellation_points, modulate, product_rows,
 )
 from oracles import (
-    GROUP_DECODERS, decoupled_ml_decode_group, demodulate, group_observation, ml_decode_group,
-    product_features, two_product_decode,
+    GROUP_DECODERS, decoupled_ml_decode_group, demodulate, group_observation, labels_to_bits,
+    ml_decode_group, product_features, two_product_decode,
 )
 from qosf import SystemConfig
 from qosf import decoder
@@ -179,14 +178,17 @@ def test_decoupled_differs_in_general(small_config):
     assert diffs > 0
 
 
-def test_search_cap(small_config):
+def test_search_cap(small_config, monkeypatch):
     rng = np.random.default_rng(7)
     _, received, grid = _transmit(small_config, rng)
-    with pytest.raises(CapExceededError):
-        decode(received, grid, small_config, cap=10)
-    with pytest.raises(CapExceededError):
-        decode(received, grid, small_config, mode=DECOUPLED, cap=15)
-    decode(received, grid, small_config, mode=DECOUPLED, cap=16)
+    monkeypatch.setattr(decoder, "DEFAULT_SEARCH_CAP", 10)
+    with pytest.raises(CapExceededError, match="cap is 10$"):
+        decode(received, grid, small_config)
+    monkeypatch.setattr(decoder, "DEFAULT_SEARCH_CAP", 15)
+    with pytest.raises(CapExceededError, match="needs 16 candidates per pass, cap is 15$"):
+        decode(received, grid, small_config, mode=DECOUPLED)
+    monkeypatch.setattr(decoder, "DEFAULT_SEARCH_CAP", 16)
+    decode(received, grid, small_config, mode=DECOUPLED)
     theta = build_theta(small_config.rotation_angles, small_config.pl)
     obs = group_observation(received, grid, small_config, 0)
     with pytest.raises(CapExceededError):

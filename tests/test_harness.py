@@ -134,6 +134,17 @@ def test_spec_rejects_snr_points_that_are_not_numbers(small_config, points, mess
         SweepSpec(config=small_config, snr_db_points=points)
 
 
+@pytest.mark.parametrize("snr_db", [4000.0, -4000.0, 3080.0, 1000.5, -1000.5])
+def test_spec_bounds_snr_points(small_config, snr_db):
+    # 4000 dB overflowed 10**(dB/10), -4000 dB underflowed it to 0 and 3080 dB
+    # overflowed decode's metric into a silent BER of about one half.
+    with pytest.raises(InvalidSpecError,
+                       match=re.escape(f"SNR point {snr_db!r} dB is outside [-1000, 1000] dB")):
+        SweepSpec(config=small_config, snr_db_points=(snr_db,))
+    assert SweepSpec(config=small_config, snr_db_points=(-1000, 1000)).snr_db_points == (
+        -harness.MAX_ABS_SNR_DB, harness.MAX_ABS_SNR_DB)
+
+
 def test_spec_takes_any_sequence_of_real_snr_points(small_config):
     for points in ([0, 2], np.array([0.0, 2.0]), (np.int64(0), np.float32(2.0)),
                    (x for x in (0, 2.0))):
@@ -430,8 +441,8 @@ class _RecordingPool:
     def __exit__(self, *exc):
         return False
 
-    def map(self, fn, iterable):
-        return map(fn, iterable)
+    def map(self, fn, *iterables):
+        return map(fn, *iterables)
 
 
 @pytest.fixture
