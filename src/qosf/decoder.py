@@ -9,9 +9,10 @@ responses and observations of every group's window.  Every candidate of a
 pass is a +-1 combination of the pass's basis codewords (Viterbo & Boutros,
 IEEE Trans. IT 45(5), 1999), numbered by its signs.  Each pass runs in
 slices of the groups, one loop for both searches.  A pass of at most
-_PRODUCT_CANDIDATES candidates scores a slice's candidates with one real
-matrix product against a cached real feature table of those combinations.  A
-larger pass (P=2 QPSK exhaustive: 65,536) runs an exact sphere search over the
+_PRODUCT_CANDIDATES candidates scores them through a cached low-rank factor
+(left, right) of the real feature table of those combinations: one product
+of the call's metric coefficients with left, then one with right per slice.
+A larger pass (P=2 QPSK exhaustive: 65,536) runs an exact sphere search over the
 same model instead, with every group of a slice in lockstep, and never builds
 a table of its candidates.  A candidate's index is its points' Gray labels, so
 the bits are read straight off the winning indices.
@@ -81,14 +82,24 @@ def _signs(count: int) -> np.ndarray:
 @functools.lru_cache(maxsize=16)
 def _candidates(constellation: str, rotation_angles: tuple, num_states: int,
                 code_paths: int, step: int, offset: int):
-    """Candidate features, cached per code and pass and shared read-only.
+    """A factor (left, right) of the pass's candidate features, cached per
+    code and pass and shared read-only.
 
-    Column r is the candidate x_r @ _basis, x_r = _signs(n)[r]: the tuple the
-    sphere search and decode's label step number r.  The table is real and
-    C-contiguous, [8*P*span, K]: per tone, |c0|^2, |c1|^2, 2 Re(c0* c1),
-    -2 Im(c0* c1), Re c0, Im c0, Re c1 and Im c1.  That is 64 bytes per tone
-    and candidate, 128 KiB for P=2 BPSK's 256.  Nothing else is kept, and
-    passes past _PRODUCT_CANDIDATES never build one.
+    The feature table is real, [8*P*span, K]: per tone, |c0|^2, |c1|^2,
+    2 Re(c0* c1), -2 Im(c0* c1), Re c0, Im c0, Re c1 and Im c1 of every
+    candidate.  Column r is the candidate x_r @ _basis, x_r = _signs(n)[r]:
+    the tuple the sphere search and decode's label step number r.  Every
+    feature is a polynomial of degree <= 2 in those signs, so the table has
+    low rank r: 19 for P=2 BPSK exhaustive's [64, 256], 12 for a P=2 QPSK
+    decoupled pass, 7 for P=2 BPSK decoupled and P=1 BPSK exhaustive.  right
+    [r, K] is an orthonormal basis of the table's rows, from Gram-Schmidt over
+    them (each orthogonalized twice; a row left with less than 1e-8 of its
+    norm adds nothing), and left [8*P*span, r] = table @ right^T, so left @
+    right is the table to rounding.  Gram-Schmidt in numpy, not an SVD or QR:
+    in a fresh interpreter the first LAPACK call (svd, qr or eigh of a
+    [64, 256] array) raised the peak resident set by 6.6-8.6 MiB, this
+    factor and its first products by 1.3.  Both are C-contiguous; the table
+    itself is not kept, and passes past _PRODUCT_CANDIDATES never build one.
     """
     basis = _basis(constellation, rotation_angles, num_states, code_paths, step, offset)
     n = basis.shape[0]
@@ -100,8 +111,16 @@ def _candidates(constellation: str, rotation_angles: tuple, num_states: int,
     features[:, 0], features[:, 1] = r0 * r0 + i0 * i0, r1 * r1 + i1 * i1
     features[:, 2], features[:, 3] = 2.0 * (r0 * r1 + i0 * i1), 2.0 * (i0 * r1 - r0 * i1)
     features = features.reshape(-1, codewords.shape[1])
-    features.flags.writeable = False
-    return features
+    right = np.empty((0, features.shape[1]))
+    for row in features:
+        resid = row - (right @ row) @ right
+        resid -= (right @ resid) @ right
+        norm = np.sqrt(resid @ resid)
+        if norm > 1e-8 * np.sqrt(row @ row):
+            right = np.vstack((right, resid / norm))
+    left = features @ right.T
+    left.flags.writeable = right.flags.writeable = False
+    return left, right
 
 
 def _coefficients(h, y):
@@ -280,16 +299,16 @@ def candidates_per_pass(config: SystemConfig, mode: str) -> int:
 
 def decode(received: ReceivedBlock, grid: ChannelFrequencyGrid, config: SystemConfig,
            mode: str = EXHAUSTIVE) -> np.ndarray:
-    """Recover the transmitted bit stream from one received OFDM block.
+    """Recover the transmitted bit streams of a batch of received OFDM blocks.
 
-    Returns the bits in the original stream order (group by group, symbol by
-    symbol).  mode selects "exhaustive" or "decoupled" per-group search; both
-    run one vectorized pass per searched set of positions, over slices of the
-    groups: one real product over every candidate, or, past
-    _PRODUCT_CANDIDATES, the exact sphere search.  Either way ties go to the
-    smallest tuple.  A pass larger than DEFAULT_SEARCH_CAP is refused.  A
-    batch of blocks (leading block axes on the samples and the response)
-    gives the bits of each block along the same leading axes.
+    The samples and the response may carry leading block axes (none for one
+    block); the bits of each block come back along the same leading axes, in
+    the original stream order (group by group, symbol by symbol).  mode
+    selects "exhaustive" or "decoupled" per-group search; both run one
+    vectorized pass per searched set of positions, over slices of the groups:
+    every candidate scored through the pass's factored feature table, or,
+    past _PRODUCT_CANDIDATES, the exact sphere search.  Either way ties go to
+    the smallest tuple.  A pass larger than DEFAULT_SEARCH_CAP is refused.
     """
     size = candidates_per_pass(config, mode)
     if size > DEFAULT_SEARCH_CAP:
@@ -309,13 +328,17 @@ def decode(received: ReceivedBlock, grid: ChannelFrequencyGrid, config: SystemCo
     coeffs = _coefficients(h, y) if product else None
     rows = max(config.num_groups, _METRIC_BYTES // (8 * size)) if product else _SEARCH_GROUPS
     for offset in range(step):
-        table = (_candidates if product else _basis)(*code, step, offset)
+        if product:
+            left, right = _candidates(*code, step, offset)
+            reduced = coeffs @ left
+        else:
+            basis = _basis(*code, step, offset)
         for start in range(0, h.shape[0], rows):
             part = slice(start, start + rows)
             if product:  # argmin keeps the first minimum, the smallest tuple
-                index[part, offset] = np.argmin(coeffs[part] @ table, axis=1)
+                index[part, offset] = np.argmin(reduced[part] @ right, axis=1)
             else:
-                index[part, offset] = _sphere_search(*_sphere_model(h[part], y[part], table))
+                index[part, offset] = _sphere_search(*_sphere_model(h[part], y[part], basis))
     # Both searches number a pass's candidates by their +-1 basis signs, which
     # spell the Gray labels, first position most significant: bit b of the
     # point at group position offset + step*j is bit n-1 - (width*j + b) of the

@@ -51,15 +51,17 @@ _WINDOW_BLOCKS = 256
 # Byte budget of the arrays one chunk of blocks holds at once, beside what a
 # decode call holds once whatever its batch: the product path's metric slice
 # or the sphere search's frontier.  It sets how much a sweep's peak resident
-# set grows, heap fragmentation included: on the default P=2 BPSK code the
-# benchmark's curve-p2 peak grew by about 0.4 MiB with one block per chunk,
-# about 0.6 MiB with 5 blocks, 0.04 MiB more with 6, 0.8-1.0 MiB with 7 and
-# 1.1 MiB with 11.  On a 2-vCPU host, chunks past 5 blocks saved at most
-# about a tenth of the wall time (at 15 blocks).
-_CHUNK_BYTES = 384 * 1024
+# set grows, heap fragmentation included.  With the factored product metric,
+# on a 2-vCPU host, interleaved curve-p2 sweeps (default P=2 BPSK code, 0-10
+# dB, 200-error stop) ran fastest with 8-block chunks in four sets of five:
+# 88-105 us per block, against 95-130 with 6 and 97-117 with 12, where decode
+# itself slowed (46-55 against 36-41 us per block).  The benchmark's curve-p2
+# peak read about 0.15 MiB above 6-block chunks with 8 and 0.5 MiB with 12.
+_CHUNK_BYTES = 512 * 1024
 # Bytes a block adds to a chunk per tone, state and receive antenna: its bits,
 # response and samples, and decode's per-tone arrays (scaled response, Gram
-# matrices, matched filter and coefficient rows).
+# matrices, matched filter, coefficient rows and their product with the
+# factor).
 _TONE_BYTES = 256
 
 DEFAULT_SNR_DB = tuple(float(s) for s in range(0, 21, 2))
@@ -275,8 +277,8 @@ def _scenario_key(spec: SweepSpec) -> int | None:
 
 def _chunk_cap(spec: SweepSpec) -> int:
     """Most blocks one chunk may hold within _CHUNK_BYTES, at about _TONE_BYTES
-    per tone, state and receive antenna of each block: 6 for the default P=2
-    code on 128 tones, 12 for P=1.  What a decode call holds once is not charged.
+    per tone, state and receive antenna of each block: 8 for the default P=2
+    code on 128 tones, 16 for P=1.  What a decode call holds once is not charged.
     """
     cfg = spec.config
     block = _TONE_BYTES * cfg.num_states * cfg.num_subcarriers * cfg.num_rx
@@ -549,6 +551,12 @@ def read_results(path) -> SweepResult:
         if ber != float(f"{point.ber:.5e}"):
             raise ResultsParseError(
                 f"line {lineno}: ber {ber!r} is not errors/bits = {point.ber:.5e}"
+            )
+        if point.bit_errors < spec.min_bit_errors and blocks < spec.max_ofdm_blocks:
+            raise ResultsParseError(
+                f"line {lineno}: {point.bit_errors} errors in {blocks} blocks stop short of "
+                f"both the min_bit_errors header's {spec.min_bit_errors} and the "
+                f"max_ofdm_blocks header's {spec.max_ofdm_blocks}"
             )
     return SweepResult(spec=spec, points=points, code_version=version)
 

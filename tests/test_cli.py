@@ -449,12 +449,17 @@ def test_report_rejects_duplicate_labels(tmp_path, small_config):
             re.sub("(?m)^# max_ofdm_blocks: .*$", "# max_ofdm_blocks: 20", text),
             "4.0,51200,91,1.77734e-02"),
          "line 15: 3200 blocks exceed the max_ofdm_blocks header's 20"),
+        # A row that breaks its header's stop rule: 3 errors in 20 blocks, so
+        # the run would have gone on towards 5 errors or 40 blocks.
+        (lambda text: _replace_last_row(text, "4.0,320,3,9.37500e-03"),
+         "line 15: 3 errors in 20 blocks stop short of both the min_bit_errors header's 5 "
+         "and the max_ofdm_blocks header's 40"),
     ],
     ids=["column-header", "zero-bits", "negative-errors", "errors-over-bits",
          "config-not-object", "config-not-json", "seed-not-int", "snr-not-float",
          "noiseless-not-bool", "independent-not-bool", "seed-not-config", "snr-not-rows",
          "bits-not-blocks", "blocks-over-cap", "ber-not-counts",
-         "ber-off-in-last-digit", "ber-and-blocks-off"],
+         "ber-off-in-last-digit", "ber-and-blocks-off", "stops-short"],
 )
 def test_report_rejects_corrupt_file(tmp_path, small_config, corrupt, message):
     a = _make_results(tmp_path, small_config, "proposed", "a.csv")

@@ -379,51 +379,95 @@ def test_sphere_search_memory_is_bounded():
                 npt.assert_array_equal(decoded, first)
             else:
                 noisy_peaks[count] = peak
-    assert max(noisy_peaks) == 6
-    assert noisy_peaks[6] <= 1.25 * noisy_peaks[3], noisy_peaks
+    assert max(noisy_peaks) == 8
+    assert noisy_peaks[8] <= 1.25 * noisy_peaks[3], noisy_peaks
     assert decoder._candidates.cache_info().currsize == 0
+
+
+# Rank of each pass's feature table, exhaustive and both decoupled offsets
+# (None: the pass runs the sphere search): every feature is a polynomial of
+# degree <= 2 in the pass's +-1 signs.
+_TABLE_RANKS = {(BPSK, 2): (19, 7, 7), (BPSK, 1): (7, 3, 3), (QPSK, 2): (None, 12, 12),
+                (QPSK, 1): (15, 6, 6)}
 
 
 @pytest.mark.parametrize("constellation", [BPSK, QPSK])
 @pytest.mark.parametrize("num_states", [1, 2])
 def test_candidate_table_follows_the_label_numbering(constellation, num_states):
-    # _candidates writes column r as the +-1 combination of the pass's basis
-    # codewords whose signs spell r.  The table from the labels product_rows
-    # spells as row r, through group_codewords, must be the same, in every
-    # pass: exhaustive (65,536 columns for P=2 QPSK, which the product path
-    # never scores) and both decoupled offsets.
+    # _candidates factors the table whose column r is the +-1 combination of
+    # the pass's basis codewords whose signs spell r.  The table from the
+    # labels product_rows spells as row r, through group_codewords, must be
+    # left @ right, in every product pass: exhaustive and both decoupled
+    # offsets, at the pinned rank (P=2 QPSK exhaustive runs the sphere search).
     base = SystemConfig(constellation=constellation)
     cfg = base if num_states == 2 else p1_variant(base)
     code = (constellation, cfg.rotation_angles, cfg.num_states, cfg.code_paths)
+    ranks = _TABLE_RANKS[constellation, num_states]
     try:
-        for step, offset in ((1, 0), (2, 0), (2, 1)):
-            table = decoder._candidates(*code, step, offset)
-            assert table.flags.c_contiguous and not table.flags.writeable
-            npt.assert_allclose(table, product_features(*code, step, offset), rtol=0, atol=1e-12)
+        for (step, offset), rank in zip(((1, 0), (2, 0), (2, 1)), ranks):
+            if rank is None:
+                assert candidates_per_pass(cfg, EXHAUSTIVE) > decoder._PRODUCT_CANDIDATES
+                continue
+            left, right = decoder._candidates(*code, step, offset)
+            table = product_features(*code, step, offset)
+            assert left.shape == (table.shape[0], rank) and right.shape == (rank, table.shape[1])
+            for factor in (left, right):
+                assert factor.flags.c_contiguous and not factor.flags.writeable
+            npt.assert_allclose(left @ right, table, rtol=0, atol=1e-12)
     finally:
         decoder._candidates.cache_clear()
 
 
+@pytest.mark.parametrize("constellation,variant,mode", [
+    (BPSK, None, EXHAUSTIVE), (QPSK, None, DECOUPLED),
+    (BPSK, p1_variant, EXHAUSTIVE), (BPSK, p1_variant, DECOUPLED),
+], ids=["p2-bpsk-exhaustive", "p2-qpsk-decoupled", "p1-bpsk-exhaustive", "p1-bpsk-decoupled"])
+def test_factored_metric_decides_as_the_full_table(monkeypatch, constellation, variant, mode):
+    # Over at least 30k groups at -3 to 18 dB, decode through the factor
+    # decides every group as argmin(coeffs @ product_features(...)) does: the
+    # same decode with (table, identity) in place of the factor, whose second
+    # product is exact.
+    base = SystemConfig(constellation=constellation)
+    cfg = base if variant is None else variant(base)
+    rng = np.random.default_rng(19)
+    snrs = np.arange(-3.0, 19.0)
+    count = -(-30_000 // (cfg.num_groups * snrs.size))
+    nbits = cfg.num_groups * cfg.symbols_per_group * bits_per_symbol(constellation)
+    decoded, full = [], []
+    for snr_db in snrs:
+        bits = rng.integers(0, 2, (count, nbits))
+        grid = frequency_response(draw_channel(cfg, [rng] * count), cfg)
+        symbols = modulate(bits.reshape(-1), constellation).reshape(count, -1)
+        received = apply(encode(symbols, cfg), grid, 10 ** (snr_db / 10), [rng] * count)
+        decoded.append(decode(received, grid, cfg, mode=mode))
+        with monkeypatch.context() as patch:
+            patch.setattr(decoder, "_candidates", lambda *code: (
+                product_features(*code), np.eye(candidates_per_pass(cfg, mode))))
+            full.append(decode(received, grid, cfg, mode=mode))
+    assert count * snrs.size * cfg.num_groups >= 30_000
+    npt.assert_array_equal(np.concatenate(decoded), np.concatenate(full))
+
+
 def test_product_decode_holds_its_metric_once_per_call():
     # A P=2 BPSK exhaustive call holds one block's metric slice whatever its
-    # batch, so a 6-block chunk peaks at most one block's peak plus the five
+    # batch, so an 8-block chunk peaks at most one block's peak plus the seven
     # further blocks' _TONE_BYTES per tone, state and receive antenna, what
     # the harness charges them.  An unsliced metric would add 64 KiB a block.
     cfg = SystemConfig()
     rng = np.random.default_rng(18)
     per_block = _TONE_BYTES * cfg.num_states * cfg.num_subcarriers * cfg.num_rx
-    assert _chunk_cap(SweepSpec(config=cfg)) == 6
+    assert _chunk_cap(SweepSpec(config=cfg)) == 8
     peaks = {}
-    for count in (1, 6):
+    for count in (1, 8):
         bits = rng.integers(0, 2, (count, cfg.num_groups * cfg.symbols_per_group))
         grid = frequency_response(draw_channel(cfg, [rng] * count), cfg)
         received = apply(encode(modulate(bits.reshape(-1), BPSK).reshape(count, -1), cfg),
                           grid, 10.0, [rng] * count)
-        decode(received, grid, cfg)  # the feature table is cached, not counted
+        decode(received, grid, cfg)  # the factor is cached, not counted
         tracemalloc.start()
         try:
             decode(received, grid, cfg)
             peaks[count] = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-    assert peaks[6] <= peaks[1] + 5 * per_block, (peaks, per_block)
+    assert peaks[8] <= peaks[1] + 7 * per_block, (peaks, per_block)

@@ -372,11 +372,11 @@ def _record_chunks(monkeypatch):
 
 def test_run_point_runs_fixed_budgets_in_whole_chunks(monkeypatch, small_config):
     # A min_bit_errors no budget can reach puts every block past the floor:
-    # a 13-block P=2 QPSK exhaustive point runs as 6 + 6 + 1.  A stop rule
+    # a 17-block P=2 QPSK exhaustive point runs as 8 + 8 + 1.  A stop rule
     # that one block could meet still starts at one block.
     chunks, _ = _record_chunks(monkeypatch)
     fixed = SweepSpec(config=SystemConfig(constellation=QPSK), snr_db_points=(6.0,),
-                      min_bit_errors=10 ** 9, max_ofdm_blocks=13)
+                      min_bit_errors=10 ** 9, max_ofdm_blocks=17)
     cap = harness._chunk_cap(fixed)
     assert run_point(fixed, 6.0, 0) == serial_point(fixed, 6.0, 0)
     assert len(chunks) == -(-fixed.max_ofdm_blocks // cap) == 3
@@ -405,16 +405,16 @@ def test_chunk_cap_counts_only_blocks():
     # each block and nothing else: what a decode call holds once whatever its
     # batch (the product path's metric slice, the sphere search's frontier)
     # sits beside the budget.  curve-p2's P=2 BPSK and qpsk-ml's P=2 QPSK
-    # exhaustive codes run 6 blocks per chunk, the default P=1 scenarios 12,
-    # and a P=1 QPSK exhaustive code on 512 tones 3.
+    # exhaustive codes run 8 blocks per chunk, the default P=1 scenarios 16,
+    # and a P=1 QPSK exhaustive code on 512 tones 4.
     qpsk = SystemConfig(constellation=QPSK)
-    assert harness._chunk_cap(SweepSpec(config=SystemConfig())) == 6
-    assert harness._chunk_cap(SweepSpec(config=qpsk)) == 6
-    assert harness._chunk_cap(SweepSpec(config=qpsk, decoder_mode=DECOUPLED)) == 6
+    assert harness._chunk_cap(SweepSpec(config=SystemConfig())) == 8
+    assert harness._chunk_cap(SweepSpec(config=qpsk)) == 8
+    assert harness._chunk_cap(SweepSpec(config=qpsk, decoder_mode=DECOUPLED)) == 8
     for scenario in ("qosf-p1", "alamouti-sf"):
-        assert harness._chunk_cap(scenario_spec(scenario, SystemConfig())) == 12
+        assert harness._chunk_cap(scenario_spec(scenario, SystemConfig())) == 16
     wide = SystemConfig(constellation=QPSK, num_subcarriers=512, cp_len=256)
-    assert harness._chunk_cap(scenario_spec("qosf-p1", wide)) == 3
+    assert harness._chunk_cap(scenario_spec("qosf-p1", wide)) == 4
 
 
 def test_default_worker_count_env(monkeypatch):

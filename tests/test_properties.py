@@ -46,17 +46,21 @@ def _sweep_results(draw):
     )
     snrs = sorted(snrs)
     max_blocks = draw(st.integers(1, 10**6))
+    min_errors = draw(st.integers(1, 10**6))
     # The reader accepts only rows a run could write: whole blocks of the
-    # default config's 256 bits, at most max_ofdm_blocks of them.
+    # default config's 256 bits, at most max_ofdm_blocks of them, and fewer
+    # only once the errors reach min_bit_errors.
     points = []
     for s in snrs:
-        bits = 256 * draw(st.integers(1, max_blocks))
-        errors = draw(st.integers(0, bits))
-        points.append(BerPoint(s, bits, errors))
+        blocks = draw(st.integers(1, max_blocks))
+        errors = draw(st.integers(0, 256 * blocks))
+        if errors < min_errors:
+            blocks = max_blocks
+        points.append(BerPoint(s, 256 * blocks, errors))
     spec = SweepSpec(
         config=SystemConfig(master_seed=draw(st.integers(0, 2**32))),
         snr_db_points=tuple(snrs),
-        min_bit_errors=draw(st.integers(1, 10**6)),
+        min_bit_errors=min_errors,
         max_ofdm_blocks=max_blocks,
         scenario_label=draw(st.sampled_from(["proposed", "qosf-p1", "a b c"])),
     )
