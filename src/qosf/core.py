@@ -92,13 +92,13 @@ def modulate(bits, constellation: str) -> np.ndarray:
     bits = np.asarray(bits, dtype=np.int64)
     if bits.ndim != 1:
         raise ValueError("bits must be one-dimensional")
-    if np.any((bits != 0) & (bits != 1)):
+    if (bits & ~1).any():
         raise ValueError("bits must contain only 0 and 1")
     points = constellation_points(constellation)
     k = bits_per_symbol(constellation)
     if bits.size % k != 0:
         raise OddBitCountError(f"{constellation} needs a multiple of {k} bits, got {bits.size}")
-    return points[bits.reshape(-1, k) @ (1 << np.arange(k - 1, -1, -1))]
+    return points[bits if k == 1 else 2 * bits[0::2] + bits[1::2]]
 
 
 def complex_normal(rng: np.random.Generator | Sequence[np.random.Generator],
@@ -117,5 +117,5 @@ def complex_normal(rng: np.random.Generator | Sequence[np.random.Generator],
     raw = np.empty((len(rngs), *tuple(shape), 2))
     for row, row_rng in zip(raw, rngs):
         row_rng.standard_normal(out=row)
-    samples = (raw[..., 0] + 1j * raw[..., 1]) * np.sqrt(0.5)
+    samples = raw.view(complex)[..., 0] * np.sqrt(0.5)
     return samples[0] if single else samples

@@ -131,15 +131,13 @@ def _coefficients(h, y):
     is a group's real row (G00, G11, Re G01, Im G01, then -2 Re m and -2 Im m
     of the matched filter m, per tone) times a candidate's feature column.
     h [G, P, span, Mr, Mt] are the scaled responses and y [G, P, span, Mr]
-    the observations; the rows are [G, 8*P*span].
+    the observations; the rows are [G, 8*P*span].  Only the Gram entries the
+    rows read are formed, each summed elementwise over the receive antennas.
     """
-    h_conj = np.conj(h)
-    matched = np.einsum("gpnji,gpnj->gpni", h_conj, y)
-    gram = np.einsum("gpnji,gpnjk->gpnik", h_conj, h)
-    del h_conj  # the rows need only gram and matched
-    coeffs = np.empty(matched.shape[:3] + (8,))
-    coeffs[..., 0:2] = np.diagonal(gram, axis1=-2, axis2=-1).real
-    coeffs[..., 2], coeffs[..., 3] = gram[..., 0, 1].real, gram[..., 0, 1].imag
+    coeffs = np.empty(h.shape[:3] + (8,))
+    coeffs[..., 0:2] = (h.real ** 2 + h.imag ** 2).sum(-2)
+    coeffs[..., 2:4] = (np.conj(h[..., 0]) * h[..., 1]).sum(-1)[..., None].view(float)
+    matched = (np.conj(h) * y[..., None]).sum(-2)
     np.multiply(matched.real, -2.0, out=coeffs[..., 4::2])
     np.multiply(matched.imag, -2.0, out=coeffs[..., 5::2])
     return coeffs.reshape(h.shape[0], -1)

@@ -3,9 +3,11 @@
 Every random draw comes from its own PCG64 generator, seeded as a SeedSequence
 whose spawn key is (snr_index, block_index, stream) under the master seed would
 seed it, with the scenario's key in front for independent streams; seed_words
-computes that tree for a window of blocks at once.  So results do not depend
-on worker count, scheduling or how blocks are grouped, and schemes sharing a
-master seed see the same channel and noise per block (common random numbers).
+computes that tree for a window of blocks at once.  A block's bits are what its
+bits node's Generator.integers(0, 2) would draw, read off the node's raw PCG64
+words.  So results do not depend on worker count, scheduling or how blocks are
+grouped, and schemes sharing a master seed see the same channel and noise per
+block (common random numbers).
 
 A point runs its blocks in chunks that pass through every stage in one call
 each.  The error counts of a chunk's blocks are summed in block order, and
@@ -247,10 +249,10 @@ def seed_words(master_seed: int, snr_index: int, blocks: range,
 
 
 @functools.cache
-def _generators():
-    """The maker of one node's Generator from its row of seed_words, built on
+def _bit_generators():
+    """The maker of one node's PCG64 from its row of seed_words, built on
     first use so that importing qosf does not load numpy.random."""
-    from numpy.random import PCG64, Generator, bit_generator
+    from numpy.random import PCG64, bit_generator
 
     @dataclass
     class SeedWords(bit_generator.ISeedSequence):
@@ -259,7 +261,14 @@ def _generators():
         def generate_state(self, n_words, dtype=np.uint32):
             return self.words
 
-    return lambda words: Generator(PCG64(SeedWords(words)))
+    return lambda words: PCG64(SeedWords(words))
+
+
+@functools.cache
+def _generators():
+    """The maker of one node's Generator from its row of seed_words."""
+    from numpy.random import Generator
+    return lambda words: Generator(_bit_generators()(words))
 
 
 def block_rng(master_seed: int, snr_index: int, block_index: int, stream: int,
@@ -293,8 +302,12 @@ def _chunk_errors(spec: SweepSpec, scheme: QosfScheme, snr_linear: float, window
     draws from its own generators as a lone block would, whatever its chunk.
     """
     words, generator = window[1][blocks.start - window[0]:blocks.stop - window[0]], _generators()
-    bits = np.stack([generator(w[_STREAM_BITS]).integers(0, 2, size=scheme.bits_per_block,
-                                                          dtype=np.int64) for w in words])
+    # Generator.integers(0, 2) is Lemire's bounded method on 32-bit draws, the
+    # low half of each PCG64 word first; it never rejects a range of 2 and
+    # returns a draw's top bit.  bits_per_block is even: two bits per word.
+    pcg64, words_per_block = _bit_generators(), scheme.bits_per_block // 2
+    raw = np.stack([pcg64(w[_STREAM_BITS]).random_raw(words_per_block) for w in words])
+    bits = (raw.astype("<u8", copy=False).view("<u4") >> 31).astype(np.int64)
     grid = frequency_response(
         draw_channel(spec.config, [generator(w[_STREAM_CHANNEL]) for w in words]), spec.config)
     noise = None if spec.noiseless else [generator(w[_STREAM_NOISE]) for w in words]
@@ -552,6 +565,10 @@ def read_results(path) -> SweepResult:
             raise ResultsParseError(
                 f"line {lineno}: ber {ber!r} is not errors/bits = {point.ber:.5e}"
             )
+        if point.bit_errors >= spec.min_bit_errors + per_block:  # past the stop's last block
+            raise ResultsParseError(
+                f"line {lineno}: {point.bit_errors} errors reach the min_bit_errors header's "
+                f"{spec.min_bit_errors} plus a whole {per_block}-bit block")
         if point.bit_errors < spec.min_bit_errors and blocks < spec.max_ofdm_blocks:
             raise ResultsParseError(
                 f"line {lineno}: {point.bit_errors} errors in {blocks} blocks stop short of "

@@ -8,7 +8,9 @@ one real product against the two complex products it replaced and its
 feature table against the one built from product-order labels, and check
 the harness's chunked block loop against the one-block-at-a-time loop it
 replaced, and the harness's windowed seed tree against numpy's SeedSequence,
-which it reproduces.  The module also holds the inverses the program never
+which it reproduces.  The earlier forms of modulate, complex_normal and the
+decoder's metric coefficient rows are kept too, as the tests' oracles for the
+forms that replaced them.  The module also holds the inverses the program never
 needs: a point-label-to-bits step, a nearest-point symbol demodulator, a
 codeword-dump reader, and a time-domain check of the channel's frequency
 response.
@@ -34,6 +36,41 @@ def labels_to_bits(labels, constellation: str) -> np.ndarray:
     """Bit stream of an array of point indices, most significant bit first."""
     shifts = np.arange(bits_per_symbol(constellation) - 1, -1, -1)
     return ((np.asarray(labels)[..., None] >> shifts) & 1).reshape(-1).astype(np.int64)
+
+
+def label_table_modulate(bits, constellation: str) -> np.ndarray:
+    """modulate as it was: each symbol's label is an integer product of its
+    bits with their place values, looked up in the point table."""
+    k = bits_per_symbol(constellation)
+    labels = np.asarray(bits, dtype=np.int64).reshape(-1, k) @ (1 << np.arange(k - 1, -1, -1))
+    return constellation_points(constellation)[labels]
+
+
+def interleaved_complex_normal(rng, shape) -> np.ndarray:
+    """core.complex_normal as it was: the interleaved real and imaginary
+    draws summed as re + 1j*im, then scaled."""
+    single = isinstance(rng, np.random.Generator)
+    rngs = [rng] if single else list(rng)
+    raw = np.empty((len(rngs), *tuple(shape), 2))
+    for row, row_rng in zip(raw, rngs):
+        row_rng.standard_normal(out=row)
+    samples = (raw[..., 0] + 1j * raw[..., 1]) * np.sqrt(0.5)
+    return samples[0] if single else samples
+
+
+def einsum_coefficients(h, y):
+    """decoder._coefficients as it was: two complex einsums form each tone's
+    whole Gram matrix and matched filter, and the rows read three entries of
+    the one and both parts of the other."""
+    h_conj = np.conj(h)
+    matched = np.einsum("gpnji,gpnj->gpni", h_conj, y)
+    gram = np.einsum("gpnji,gpnjk->gpnik", h_conj, h)
+    coeffs = np.empty(matched.shape[:3] + (8,))
+    coeffs[..., 0:2] = np.diagonal(gram, axis1=-2, axis2=-1).real
+    coeffs[..., 2], coeffs[..., 3] = gram[..., 0, 1].real, gram[..., 0, 1].imag
+    np.multiply(matched.real, -2.0, out=coeffs[..., 4::2])
+    np.multiply(matched.imag, -2.0, out=coeffs[..., 5::2])
+    return coeffs.reshape(h.shape[0], -1)
 
 
 def combine(group, theta: np.ndarray) -> np.ndarray:

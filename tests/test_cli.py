@@ -454,12 +454,16 @@ def test_report_rejects_duplicate_labels(tmp_path, small_config):
         (lambda text: _replace_last_row(text, "4.0,320,3,9.37500e-03"),
          "line 15: 3 errors in 20 blocks stop short of both the min_bit_errors header's 5 "
          "and the max_ofdm_blocks header's 40"),
+        # A row past the stop rule: a point stops at the first block that
+        # reaches 5 errors, so it ends with at most 4 + 16 of them.
+        (lambda text: _replace_last_row(text, "4.0,320,300,9.37500e-01"),
+         "line 15: 300 errors reach the min_bit_errors header's 5 plus a whole 16-bit block"),
     ],
     ids=["column-header", "zero-bits", "negative-errors", "errors-over-bits",
          "config-not-object", "config-not-json", "seed-not-int", "snr-not-float",
          "noiseless-not-bool", "independent-not-bool", "seed-not-config", "snr-not-rows",
          "bits-not-blocks", "blocks-over-cap", "ber-not-counts",
-         "ber-off-in-last-digit", "ber-and-blocks-off", "stops-short"],
+         "ber-off-in-last-digit", "ber-and-blocks-off", "stops-short", "too-many-errors"],
 )
 def test_report_rejects_corrupt_file(tmp_path, small_config, corrupt, message):
     a = _make_results(tmp_path, small_config, "proposed", "a.csv")

@@ -3,7 +3,7 @@ import numpy.testing as npt
 import pytest
 import scipy.linalg
 
-from oracles import demodulate
+from oracles import demodulate, interleaved_complex_normal, label_table_modulate, labels_to_bits
 from qosf.core import (
     BPSK,
     QPSK,
@@ -73,10 +73,26 @@ def test_modulate_demodulate_round_trip(name):
 def test_modulate_rejects_bad_input():
     with pytest.raises(ValueError):
         modulate([0, 2, 1], BPSK)
+    for name in (BPSK, QPSK):
+        with pytest.raises(ValueError, match="only 0 and 1"):
+            modulate([-1, 0], name)
     with pytest.raises(OddBitCountError):
         modulate([0, 1, 1], QPSK)
     with pytest.raises(ValueError):
         modulate([[0, 1]], BPSK)
+
+
+@pytest.mark.parametrize("name", [BPSK, QPSK])
+def test_modulate_matches_the_label_table(name):
+    # Labels come from shifts and adds, not an integer product with the
+    # place values: every label, then a random stream, gives the same points.
+    k = bits_per_symbol(name)
+    every = labels_to_bits(np.arange(1 << k), name)
+    stream = np.random.default_rng(8).integers(0, 2, size=600)
+    for bits in (every, stream, every[:0]):
+        got = modulate(bits, name)
+        assert got.dtype == np.complex128
+        assert np.array_equal(got, label_table_modulate(bits, name))
 
 
 def test_demodulate_tie_goes_to_first_point():
@@ -106,3 +122,15 @@ def test_complex_normal_prefix_property():
     a = complex_normal(np.random.default_rng(11), (6,))
     b = complex_normal(np.random.default_rng(11), (2, 2))
     npt.assert_array_equal(a[:4], b.reshape(-1))
+
+
+@pytest.mark.parametrize("shape", [(), (5,), (2, 1, 2, 3)])
+def test_complex_normal_is_the_interleaved_sum(shape):
+    # The draws are read as complex through a view, not summed as re + 1j*im:
+    # the same values, for one generator and for a batch.
+    one = complex_normal(np.random.default_rng(11), shape)
+    assert np.array_equal(one, interleaved_complex_normal(np.random.default_rng(11), shape))
+    batch = complex_normal([np.random.default_rng(s) for s in range(4)], shape)
+    want = interleaved_complex_normal([np.random.default_rng(s) for s in range(4)], shape)
+    assert batch.shape == (4, *shape) and batch.dtype == np.complex128
+    assert np.array_equal(batch, want)

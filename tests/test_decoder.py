@@ -13,8 +13,8 @@ from qosf.core import (
     BPSK, QPSK, CapExceededError, bits_per_symbol, constellation_points, modulate, product_rows,
 )
 from oracles import (
-    GROUP_DECODERS, decoupled_ml_decode_group, demodulate, group_observation, labels_to_bits,
-    ml_decode_group, product_features, two_product_decode,
+    GROUP_DECODERS, decoupled_ml_decode_group, demodulate, einsum_coefficients, group_observation,
+    labels_to_bits, ml_decode_group, product_features, two_product_decode,
 )
 from qosf import SystemConfig
 from qosf import decoder
@@ -446,6 +446,41 @@ def test_factored_metric_decides_as_the_full_table(monkeypatch, constellation, v
             full.append(decode(received, grid, cfg, mode=mode))
     assert count * snrs.size * cfg.num_groups >= 30_000
     npt.assert_array_equal(np.concatenate(decoded), np.concatenate(full))
+
+
+@pytest.mark.parametrize("constellation,variant,mode,num_rx", [
+    (BPSK, None, EXHAUSTIVE, 1), (BPSK, None, EXHAUSTIVE, 2), (QPSK, None, DECOUPLED, 1),
+    (QPSK, None, DECOUPLED, 2), (BPSK, p1_variant, EXHAUSTIVE, 1),
+], ids=["p2-bpsk-exhaustive", "p2-bpsk-exhaustive-rx2", "p2-qpsk-decoupled",
+        "p2-qpsk-decoupled-rx2", "p1-bpsk-exhaustive"])
+def test_elementwise_rows_decide_as_the_einsum_rows(monkeypatch, constellation, variant, mode,
+                                                   num_rx):
+    # _coefficients sums the Gram entries and matched filter elementwise; the
+    # einsums it replaced round the rows differently (up to about 2e-15).  Over
+    # at least 30k groups at -3 to 18 dB, not one decision may differ.
+    base = SystemConfig(constellation=constellation, num_rx=num_rx)
+    cfg = base if variant is None else variant(base)
+    rng = np.random.default_rng(23)
+    snrs = np.arange(-3.0, 19.0)
+    count = -(-30_000 // (cfg.num_groups * snrs.size))
+    nbits = cfg.num_groups * cfg.symbols_per_group * bits_per_symbol(constellation)
+    decoded, einsum = [], []
+    for snr_db in snrs:
+        bits = rng.integers(0, 2, (count, nbits))
+        grid = frequency_response(draw_channel(cfg, [rng] * count), cfg)
+        symbols = modulate(bits.reshape(-1), constellation).reshape(count, -1)
+        received = apply(encode(symbols, cfg), grid, 10 ** (snr_db / 10), [rng] * count)
+        decoded.append(decode(received, grid, cfg, mode=mode))
+        with monkeypatch.context() as patch:
+            patch.setattr(decoder, "_coefficients", einsum_coefficients)
+            einsum.append(decode(received, grid, cfg, mode=mode))
+    assert count * snrs.size * cfg.num_groups >= 30_000
+    npt.assert_array_equal(np.concatenate(decoded), np.concatenate(einsum))
+    h = rng.standard_normal((64, 2, 4, num_rx, 2, 2)).view(complex)[..., 0]
+    y = rng.standard_normal((64, 2, 4, num_rx, 2)).view(complex)[..., 0]
+    want = einsum_coefficients(h, y)
+    npt.assert_allclose(decoder._coefficients(h, y), want, rtol=0,
+                        atol=16 * np.finfo(float).eps * np.abs(want).max())
 
 
 def test_product_decode_holds_its_metric_once_per_call():

@@ -217,6 +217,36 @@ def test_seed_tree_matches_seed_sequence(seed, key):
                     assert got == want, (snr_index, block, stream)
 
 
+@pytest.mark.parametrize("seed", [0, 2**32 - 1, 2**63 + 5])
+@pytest.mark.parametrize("independent", [False, True])
+@pytest.mark.parametrize("constellation", [BPSK, QPSK])
+def test_chunk_bits_are_the_bits_nodes_integers(monkeypatch, small_config, seed, independent,
+                                                constellation):
+    # The chunk loop reads each block's bits off its bits node's raw PCG64
+    # words.  They must be that node's Generator.integers(0, 2), which
+    # serial_point and the benchmark's production_block draw, for every block
+    # of a point whose blocks cross a _WINDOW_BLOCKS boundary.
+    seen = []
+
+    class Recording(QosfScheme):
+        def encode_bits(self, bits):
+            seen.append(bits.copy())
+            return super().encode_bits(bits)
+
+    monkeypatch.setattr(harness, "QosfScheme", Recording)
+    cfg = dataclasses.replace(small_config, master_seed=seed, constellation=constellation)
+    spec = SweepSpec(config=cfg, snr_db_points=(0.0, 4.0), min_bit_errors=10**9,
+                     max_ofdm_blocks=harness._WINDOW_BLOCKS + 20, independent_streams=independent)
+    run_point(spec, 4.0, 1)
+    per_block, key = build_scheme(spec).bits_per_block, harness._scenario_key(spec)
+    bits = np.concatenate(seen)
+    assert bits.shape == (spec.max_ofdm_blocks, per_block) and bits.dtype == np.int64
+    for block, row in enumerate(bits):
+        want = block_rng(seed, 1, block, harness._STREAM_BITS, key).integers(
+            0, 2, size=per_block, dtype=np.int64)
+        assert np.array_equal(row, want), block
+
+
 def test_importing_the_cli_leaves_numpy_random_unloaded():
     # The benchmark's peak_rss_mib moved by 0.83 MiB on the QPSK workload
     # when numpy.random was loaded at import time, so qosf loads it only

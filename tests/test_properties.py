@@ -48,12 +48,13 @@ def _sweep_results(draw):
     max_blocks = draw(st.integers(1, 10**6))
     min_errors = draw(st.integers(1, 10**6))
     # The reader accepts only rows a run could write: whole blocks of the
-    # default config's 256 bits, at most max_ofdm_blocks of them, and fewer
-    # only once the errors reach min_bit_errors.
+    # default config's 256 bits, at most max_ofdm_blocks of them, fewer only
+    # once the errors reach min_bit_errors, and errors short of that plus a
+    # whole block, where the point stops.
     points = []
     for s in snrs:
         blocks = draw(st.integers(1, max_blocks))
-        errors = draw(st.integers(0, 256 * blocks))
+        errors = draw(st.integers(0, min(256 * blocks, min_errors - 1 + 256)))
         if errors < min_errors:
             blocks = max_blocks
         points.append(BerPoint(s, 256 * blocks, errors))
