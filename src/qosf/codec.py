@@ -82,12 +82,7 @@ def group_codewords(groups, theta: np.ndarray, num_states: int, code_paths: int)
     has a single source of truth.
     """
     groups = np.atleast_2d(np.asarray(groups, dtype=complex))
-    pl = num_states * code_paths
-    if theta.shape != (pl, pl):
-        raise ValueError(f"theta must be {pl}x{pl} for {num_states} states, depth {code_paths}")
-    if groups.shape[1] != 2 * pl:
-        raise ValueError(f"expected groups of {2 * pl} symbols, got {groups.shape[1]}")
-    kappa = 1.0 / np.sqrt(pl)
+    kappa = 1.0 / np.sqrt(num_states * code_paths)
     g = groups.shape[0]
     odd = (kappa * (groups[:, 0::2] @ theta.T)).reshape(g, num_states, code_paths)
     even = (kappa * (groups[:, 1::2] @ theta.T)).reshape(g, num_states, code_paths)

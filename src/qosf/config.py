@@ -11,6 +11,7 @@ import dataclasses
 import json
 import math
 import numbers
+import sys
 from dataclasses import dataclass
 
 from .core import BPSK, constellation_points, is_power_of_two
@@ -60,7 +61,10 @@ class SystemConfig:
     def __post_init__(self):
         if self.code_paths is None:
             object.__setattr__(self, "code_paths", self.num_paths)
-        # Types first, so a bad value is named here and not by a later use.
+        # One ordered pass: types, so a bad value is named here and not by a
+        # later use; scalar sizes; P*L and its angles, given one by one, whose
+        # count bounds num_states; and only then the per-state lists, which a
+        # flat list expands to num_states copies of.
         for name in _INTEGER_FIELDS:
             value = getattr(self, name)
             if not is_integer(value):
@@ -72,12 +76,68 @@ class SystemConfig:
             )
         if not isinstance(self.constellation, str):
             raise ConfigError(f"constellation must be a string, got {self.constellation!r}")
-        object.__setattr__(self, "delays_s", _per_state(self.delays_s, self.num_states, "delays_s"))
-        object.__setattr__(
-            self, "path_powers", _per_state(self.path_powers, self.num_states, "path_powers")
-        )
         object.__setattr__(self, "rotation_angles", _numbers(self.rotation_angles, "rotation_angles"))
-        self._validate()
+        for name in ("num_tx", "num_rx", "num_states", "num_paths", "code_paths",
+                     "num_subcarriers"):
+            if getattr(self, name) < 1:
+                raise ConfigError(f"{name} must be a positive integer")
+        if self.code_paths > self.num_paths:
+            raise ConfigError(
+                f"code_paths ({self.code_paths}) must lie in 1..num_paths ({self.num_paths})"
+            )
+        if self.num_tx != 2:
+            raise ConfigError("only num_tx = 2 is supported (Alamouti sub-blocks)")
+        if self.cp_len < 0:
+            raise ConfigError("cp_len must be non-negative")
+        for name in ("num_subcarriers", "cp_len"):  # the prefix check reads both as floats
+            if getattr(self, name) > sys.float_info.max:
+                raise ConfigError(f"{name} must be at most {sys.float_info.max!r}")
+        if self.symbol_duration_s <= 0:
+            raise ConfigError("symbol_duration_s must be positive")
+        if not 0 <= self.master_seed < 2**64:
+            raise ConfigError("master_seed must fit in an unsigned 64-bit integer")
+        constellation_points(self.constellation)
+        if self.num_subcarriers % self.group_span != 0:
+            raise SubcarrierMultipleError(
+                f"num_subcarriers ({self.num_subcarriers}) must be a multiple of "
+                f"code_paths * num_tx ({self.group_span})"
+            )
+        if not is_power_of_two(self.pl):
+            raise ConfigError(
+                f"num_states * code_paths must be a power of two, got {self.pl}"
+            )
+        if len(self.rotation_angles) != self.pl - 1:
+            raise ConfigError(
+                f"expected {self.pl - 1} rotation angles, got {len(self.rotation_angles)}"
+            )
+        for a in self.rotation_angles:
+            if not 0.0 <= a < 2 * math.pi:
+                raise ConfigError(f"rotation angle {a} outside [0, 2*pi)")
+        for name in ("delays_s", "path_powers"):
+            object.__setattr__(self, name, _per_state(getattr(self, name), self.num_states, name))
+        max_delay = 0.0
+        for p, (delays, powers) in enumerate(zip(self.delays_s, self.path_powers)):
+            if len(delays) != self.num_paths or len(powers) != self.num_paths:
+                raise ConfigError(
+                    f"state {p}: expected {self.num_paths} delays and path powers"
+                )
+            if any(d < 0 for d in delays):
+                raise ConfigError(f"state {p}: delays must be non-negative")
+            if any(b < a for a, b in zip(delays, delays[1:])):
+                raise ConfigError(f"state {p}: delays must be non-decreasing")
+            if any(v <= 0 for v in powers):
+                raise ConfigError(f"state {p}: path powers must be positive")
+            total = math.fsum(powers)
+            if abs(total - 1.0) > 1e-12:
+                raise ConfigError(
+                    f"state {p}: path powers must sum to 1 (got {total!r})"
+                )
+            max_delay = max(max_delay, max(delays))
+        if max_delay > self.cp_len * self.sample_period_s + 1e-15:
+            raise ConfigError(
+                f"max delay {max_delay} s exceeds cyclic prefix "
+                f"({self.cp_len} samples = {self.cp_len * self.sample_period_s} s)"
+            )
 
     # Derived quantities ---------------------------------------------------
 
@@ -106,66 +166,6 @@ class SystemConfig:
     @property
     def sample_period_s(self) -> float:
         return self.symbol_duration_s / self.num_subcarriers
-
-    def _validate(self):
-        for name in ("num_tx", "num_rx", "num_states", "num_paths", "code_paths",
-                     "num_subcarriers"):
-            if getattr(self, name) < 1:
-                raise ConfigError(f"{name} must be a positive integer")
-        if self.code_paths > self.num_paths:
-            raise ConfigError(
-                f"code_paths ({self.code_paths}) must lie in 1..num_paths ({self.num_paths})"
-            )
-        if self.num_tx != 2:
-            raise ConfigError("only num_tx = 2 is supported (Alamouti sub-blocks)")
-        if self.cp_len < 0:
-            raise ConfigError("cp_len must be non-negative")
-        if self.symbol_duration_s <= 0:
-            raise ConfigError("symbol_duration_s must be positive")
-        if self.num_subcarriers % self.group_span != 0:
-            raise SubcarrierMultipleError(
-                f"num_subcarriers ({self.num_subcarriers}) must be a multiple of "
-                f"code_paths * num_tx ({self.group_span})"
-            )
-        if not is_power_of_two(self.pl):
-            raise ConfigError(
-                f"num_states * code_paths must be a power of two, got {self.pl}"
-            )
-        constellation_points(self.constellation)
-        if len(self.rotation_angles) != self.pl - 1:
-            raise ConfigError(
-                f"expected {self.pl - 1} rotation angles, got {len(self.rotation_angles)}"
-            )
-        for a in self.rotation_angles:
-            if not 0.0 <= a < 2 * math.pi:
-                raise ConfigError(f"rotation angle {a} outside [0, 2*pi)")
-        if not 0 <= self.master_seed < 2**64:
-            raise ConfigError("master_seed must fit in an unsigned 64-bit integer")
-        max_delay = 0.0
-        for p in range(self.num_states):
-            delays = self.delays_s[p]
-            powers = self.path_powers[p]
-            if len(delays) != self.num_paths or len(powers) != self.num_paths:
-                raise ConfigError(
-                    f"state {p}: expected {self.num_paths} delays and path powers"
-                )
-            if any(d < 0 for d in delays):
-                raise ConfigError(f"state {p}: delays must be non-negative")
-            if any(b < a for a, b in zip(delays, delays[1:])):
-                raise ConfigError(f"state {p}: delays must be non-decreasing")
-            if any(v <= 0 for v in powers):
-                raise ConfigError(f"state {p}: path powers must be positive")
-            total = math.fsum(powers)
-            if abs(total - 1.0) > 1e-12:
-                raise ConfigError(
-                    f"state {p}: path powers must sum to 1 (got {total!r})"
-                )
-            max_delay = max(max_delay, max(delays))
-        if max_delay > self.cp_len * self.sample_period_s + 1e-15:
-            raise ConfigError(
-                f"max delay {max_delay} s exceeds cyclic prefix "
-                f"({self.cp_len} samples = {self.cp_len * self.sample_period_s} s)"
-            )
 
 
 _INTEGER_FIELDS = ("num_tx", "num_rx", "num_states", "num_paths", "code_paths",

@@ -136,11 +136,9 @@ class SweepSpec:
             value = getattr(self, name)
             if not is_integer(value):
                 raise InvalidSpecError(f"{name} must be an integer, got {value!r}")
+            if value < 1:
+                raise InvalidSpecError(f"{name} must be at least 1")
             object.__setattr__(self, name, int(value))
-        if self.min_bit_errors < 1:
-            raise InvalidSpecError("min_bit_errors must be at least 1")
-        if self.max_ofdm_blocks < 1:
-            raise InvalidSpecError("max_ofdm_blocks must be at least 1")
         if self.scheme not in _SCHEMES:
             raise InvalidSpecError(f"unknown scheme {self.scheme!r}")
         if self.decoder_mode not in (EXHAUSTIVE, DECOUPLED):
@@ -250,8 +248,9 @@ def seed_words(master_seed: int, snr_index: int, blocks: range,
 
 @functools.cache
 def _bit_generators():
-    """The maker of one node's PCG64 from its row of seed_words, built on
-    first use so that importing qosf does not load numpy.random."""
+    """The seed tree's one node maker: a node's PCG64 from its row of seed_words,
+    built on first use so that importing qosf does not load numpy.random.  Its
+    Generator is np.random.Generator of that PCG64."""
     from numpy.random import PCG64, bit_generator
 
     @dataclass
@@ -264,18 +263,12 @@ def _bit_generators():
     return lambda words: PCG64(SeedWords(words))
 
 
-@functools.cache
-def _generators():
-    """The maker of one node's Generator from its row of seed_words."""
-    from numpy.random import Generator
-    return lambda words: Generator(_bit_generators()(words))
-
-
 def block_rng(master_seed: int, snr_index: int, block_index: int, stream: int,
               scenario_key: int | None = None) -> np.random.Generator:
     """Generator for one (point, block, stream) node of the seed tree."""
     block = range(block_index, block_index + 1)  # a one-block window
-    return _generators()(seed_words(master_seed, snr_index, block, scenario_key)[0, stream])
+    words = seed_words(master_seed, snr_index, block, scenario_key)[0, stream]
+    return np.random.Generator(_bit_generators()(words))
 
 
 def _scenario_key(spec: SweepSpec) -> int | None:
@@ -301,16 +294,17 @@ def _chunk_errors(spec: SweepSpec, scheme: QosfScheme, snr_linear: float, window
     window is (first block, seed_words) of blocks that hold the chunk.  Each block
     draws from its own generators as a lone block would, whatever its chunk.
     """
-    words, generator = window[1][blocks.start - window[0]:blocks.stop - window[0]], _generators()
+    words = window[1][blocks.start - window[0]:blocks.stop - window[0]]
     # Generator.integers(0, 2) is Lemire's bounded method on 32-bit draws, the
     # low half of each PCG64 word first; it never rejects a range of 2 and
     # returns a draw's top bit.  bits_per_block is even: two bits per word.
     pcg64, words_per_block = _bit_generators(), scheme.bits_per_block // 2
     raw = np.stack([pcg64(w[_STREAM_BITS]).random_raw(words_per_block) for w in words])
     bits = (raw.astype("<u8", copy=False).view("<u4") >> 31).astype(np.int64)
-    grid = frequency_response(
-        draw_channel(spec.config, [generator(w[_STREAM_CHANNEL]) for w in words]), spec.config)
-    noise = None if spec.noiseless else [generator(w[_STREAM_NOISE]) for w in words]
+    generator = np.random.Generator
+    channels = [generator(pcg64(w[_STREAM_CHANNEL])) for w in words]
+    grid = frequency_response(draw_channel(spec.config, channels), spec.config)
+    noise = None if spec.noiseless else [generator(pcg64(w[_STREAM_NOISE])) for w in words]
     received = apply(scheme.encode_bits(bits), grid, snr_linear, noise, noiseless=spec.noiseless)
     return np.count_nonzero(scheme.decode_bits(received, grid) != bits, axis=1)
 
@@ -481,7 +475,10 @@ def read_results(path) -> SweepResult:
                 key, sep, value = line[1:].partition(":")
                 if not sep:
                     raise ResultsParseError(f"line {lineno}: expected '# key: value'")
-                headers[key.strip()] = value.strip()
+                key = key.strip()
+                if key in headers:
+                    raise ResultsParseError(f"line {lineno}: repeated header {key!r}")
+                headers[key] = value.strip()
                 continue
             if not saw_csv_header:
                 if line != _CSV_HEADER:

@@ -106,6 +106,11 @@ def test_optimize_rejects_bad_resolution():
         optimize_angles(BPSK, 2, resolution=1.0)
 
 
+def test_optimize_rejects_pl_not_power_of_two():
+    with pytest.raises(ValueError, match="pl must be a power of two, got 3"):
+        optimize_angles(BPSK, 3)
+
+
 def test_optimize_eval_cap():
     with pytest.raises(CapExceededError):
         optimize_angles(BPSK, 4, resolution=np.pi / 300)

@@ -240,7 +240,10 @@ def test_simulate_scenario_choices_are_the_harness_table():
      ("symbol_duration_s", float("nan")), ("symbol_duration_s", float("inf")),
      ("delays_s", [0.0, "2e-5"]), ("delays_s", [True, 2e-5]), ("delays_s", ["0.0", "2e-5"]),
      ("path_powers", [[0.5, 0.5], [False, 1.0]]), ("rotation_angles", 5),
-     ("rotation_angles", ["x", 1, 2]), ("rotation_angles", [float("-inf"), 1, 2])],
+     ("rotation_angles", ["x", 1, 2]), ("rotation_angles", [float("-inf"), 1, 2]),
+     # Sizes too large for the float delay-vs-prefix check.
+     pytest.param("cp_len", 10**400, id="cp_len-10**400"),
+     pytest.param("num_subcarriers", 10**400, id="num_subcarriers-10**400")],
 )
 def test_simulate_rejects_mistyped_config_value(tmp_path, small_config, key, value):
     data = config_to_dict(small_config)
@@ -255,6 +258,24 @@ def test_simulate_rejects_mistyped_config_value(tmp_path, small_config, key, val
     assert result.exit_code == 2, result.output
     assert result.output.startswith(f"error: {key} must be")
     assert "Traceback" not in result.output and not out.exists()
+
+
+def test_simulate_rejects_huge_num_states_before_expanding_lists(tmp_path, monkeypatch):
+    # A million states with flat delay and power lists: the angle count
+    # refuses it before each list is copied once per state.
+    def expand(*args):
+        raise AssertionError("per-state lists expanded")
+
+    monkeypatch.setattr("qosf.config._per_state", expand)
+    cfg_path = tmp_path / "system.json"
+    cfg_path.write_text(json.dumps(
+        {"num_states": 10**6, "delays_s": [0.0, 2e-5], "path_powers": [0.5, 0.5]}))
+    out = tmp_path / "o"
+    result = CliRunner().invoke(
+        main, ["simulate", "--config", str(cfg_path), "--snr", "0", "--out", str(out)])
+    assert result.exit_code == 2, result.output
+    assert result.output == "error: num_states * code_paths must be a power of two, got 2000000\n"
+    assert not out.exists()
 
 
 def test_simulate_reports_memory_error(tmp_path, small_config, monkeypatch):
@@ -458,12 +479,20 @@ def test_report_rejects_duplicate_labels(tmp_path, small_config):
         # reaches 5 errors, so it ends with at most 4 + 16 of them.
         (lambda text: _replace_last_row(text, "4.0,320,300,9.37500e-01"),
          "line 15: 300 errors reach the min_bit_errors header's 5 plus a whole 16-bit block"),
+        # A header key given twice, which used to let the later value win.
+        (lambda text: text.replace("# scheme:", "# scenario: other\n# scheme:"),
+         "line 2: repeated header 'scenario'"),
+        # Header lines out of place or malformed, and a file of headers only.
+        (lambda text: text + "# note: late\n", "line 16: header after data rows"),
+        (lambda text: text.replace("# scheme: ", "# scheme "), "line 2: expected '# key: value'"),
+        (lambda text: text[:text.index("snr_db,bits")], "truncated file, no column header"),
     ],
     ids=["column-header", "zero-bits", "negative-errors", "errors-over-bits",
          "config-not-object", "config-not-json", "seed-not-int", "snr-not-float",
          "noiseless-not-bool", "independent-not-bool", "seed-not-config", "snr-not-rows",
          "bits-not-blocks", "blocks-over-cap", "ber-not-counts",
-         "ber-off-in-last-digit", "ber-and-blocks-off", "stops-short", "too-many-errors"],
+         "ber-off-in-last-digit", "ber-and-blocks-off", "stops-short", "too-many-errors",
+         "repeated-header", "header-after-rows", "header-without-colon", "no-column-header"],
 )
 def test_report_rejects_corrupt_file(tmp_path, small_config, corrupt, message):
     a = _make_results(tmp_path, small_config, "proposed", "a.csv")

@@ -1,10 +1,12 @@
 import dataclasses
 import json
 import math
+import re
 
 import numpy as np
 import pytest
 
+from qosf import config as config_mod
 from qosf.config import (
     ConfigError,
     SubcarrierMultipleError,
@@ -96,6 +98,38 @@ def test_rejects_bad_constellation():
         SystemConfig(constellation="16qam")
 
 
+@pytest.mark.parametrize("changes,message", [
+    (dict(cp_len=-1), "cp_len must be non-negative"),
+    (dict(symbol_duration_s=0.0), "symbol_duration_s must be positive"),
+    (dict(symbol_duration_s=-128e-6), "symbol_duration_s must be positive"),
+    (dict(master_seed=2**64), "master_seed must fit in an unsigned 64-bit integer"),
+    (dict(master_seed=-1), "master_seed must fit in an unsigned 64-bit integer"),
+    (dict(delays_s=((0.0, 2e-5), (0.0,))), "state 1: expected 2 delays and path powers"),
+    (dict(delays_s=(-1e-6, 2e-5)), "state 0: delays must be non-negative"),
+    (dict(path_powers=((0.5, 0.5), (0.0, 1.0))), "state 1: path powers must be positive"),
+    (dict(path_powers=((0.5, 0.5),) * 3), "path_powers must have one entry per radiation state"),
+])
+def test_rejects_out_of_range_value(changes, message):
+    with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+        SystemConfig(**changes)
+
+
+@pytest.mark.parametrize("num_states,message", [
+    (10**6, "num_states * code_paths must be a power of two, got 2000000"),
+    (2**20, "expected 2097151 rotation angles, got 3"),
+    (10**9, "num_states * code_paths must be a power of two, got 2000000000"),
+])
+def test_num_states_is_checked_before_the_per_state_lists(monkeypatch, num_states, message):
+    # A flat delay or power list is copied once per state, so a huge
+    # num_states must be refused before the lists are expanded.
+    def expand(*args):
+        raise AssertionError("per-state lists expanded")
+
+    monkeypatch.setattr(config_mod, "_per_state", expand)
+    with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+        SystemConfig(num_states=num_states, delays_s=(0.0, 2e-5), path_powers=(0.5, 0.5))
+
+
 def test_dict_round_trip():
     cfg = SystemConfig(num_subcarriers=64, master_seed=9)
     again = config_from_dict(config_to_dict(cfg))
@@ -117,6 +151,17 @@ def test_load_config_file(tmp_path):
     assert cfg.master_seed == 5
     # Unspecified fields keep their defaults.
     assert cfg.rotation_angles == SystemConfig().rotation_angles
+
+
+@pytest.mark.parametrize("text,message", [
+    ('{"num_subcarriers": 16', "not valid JSON"),
+    ("[1, 2]", "config file must contain a JSON object"),
+])
+def test_load_config_rejects_a_file_that_is_not_a_json_object(tmp_path, text, message):
+    path = tmp_path / "system.json"
+    path.write_text(text)
+    with pytest.raises(ConfigError, match=message):
+        load_config(path)
 
 
 def test_angles_accept_plain_floats():

@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import os
 import re
 import subprocess
@@ -212,7 +213,7 @@ def test_seed_tree_matches_seed_sequence(seed, key):
             for row, block in zip(words, blocks):
                 for stream in range(3):
                     want = seed_tree_rng(seed, snr_index, block, stream, key).bit_generator.state
-                    assert harness._generators()(row[stream]).bit_generator.state == want
+                    assert harness._bit_generators()(row[stream]).state == want
                     got = block_rng(seed, snr_index, block, stream, key).bit_generator.state
                     assert got == want, (snr_index, block, stream)
 
@@ -541,6 +542,12 @@ def test_snr_at_ber_interpolates_in_log_domain():
     assert snr_at_ber(points, 1e-2) == pytest.approx(10.0, abs=1e-9)
 
 
+def test_snr_at_ber_takes_the_first_snr_of_a_flat_pair_at_the_target():
+    points = _synthetic([(10, 1e-2), (12, 1e-3), (14, 1e-3), (16, 1e-4)])
+    assert snr_at_ber(points, 1e-3) == 12.0
+    assert snr_at_ber(points[1:], 1e-3) == 12.0
+
+
 def test_snr_at_ber_errors():
     points = _synthetic([(10, 1e-2), (12, 1e-3)])
     with pytest.raises(InsufficientDataError):
@@ -642,6 +649,12 @@ def test_emit_plot_data(tmp_path, small_config):
     assert "e-" in rows[2][1] or "e+" in rows[2][1]
 
 
+def test_emit_plot_data_rejects_no_results(tmp_path):
+    with pytest.raises(ValueError, match="at least one result"):
+        emit_plot_data([], tmp_path / "plot.tsv")
+    assert not (tmp_path / "plot.tsv").exists()
+
+
 def test_emit_plot_data_rejects_duplicate_labels(tmp_path, small_config):
     r1 = run_sweep(_tiny_spec(small_config), workers=1)
     with pytest.raises(ValueError, match="label"):
@@ -653,3 +666,60 @@ def test_sweep_result_equality_ignores_wall_time(small_config):
     a = run_sweep(spec, workers=1)
     b = dataclasses.replace(a, wall_time_s=a.wall_time_s + 5.0)
     assert a == b
+
+
+# SHA-256 of format_results for every scenario and decoder on the default
+# config, on QPSK, and on QPSK with two receive antennas: 0-16 dB in 4 dB
+# steps, a 100-error stop and a 300-block cap.  alamouti-sf takes only the
+# exhaustive decoder.
+PINNED_TEXT_SHA256 = {
+    ("bpsk", "proposed", EXHAUSTIVE):
+        "a272a70e74adb8d36566fce584c561111c5e5d788524ce759bb9e0d34a8b4435",
+    ("bpsk", "proposed", DECOUPLED):
+        "45dcd3bc330fb645e596c018a0e3eaae290e7f9325d8fc15d383a6da0a70a466",
+    ("bpsk", "qosf-p1", EXHAUSTIVE):
+        "ce402c6cd5485cc833abffee9c0c68b2bad9b79a2b33d7280c7500dd441ccbc2",
+    ("bpsk", "qosf-p1", DECOUPLED):
+        "024f22278e527777136b14c2f4b0563531ae00514fb84e693a1f9df60797b20c",
+    ("bpsk", "alamouti-sf", EXHAUSTIVE):
+        "957eba3163e25f8c6407dc4acb36dd594b23540a13fbeaf912843f190edbec33",
+    ("qpsk", "proposed", EXHAUSTIVE):
+        "624548f30b117cc332235521a5634ebf047b649e93f81c2701c927d7d594768e",
+    ("qpsk", "proposed", DECOUPLED):
+        "ce1ee9ae1e248e0211e41c8c8a2a46a02588a512478940788a3b1d806e0d5370",
+    ("qpsk", "qosf-p1", EXHAUSTIVE):
+        "22fb5307e706c43bc2dbe0d372b482a454723c47f03a318e2613e3fc30d38819",
+    ("qpsk", "qosf-p1", DECOUPLED):
+        "49c24f204491f3cb59f47c3e3d6723647dd639cccca7a5fe8429e2e98a80a15a",
+    ("qpsk", "alamouti-sf", EXHAUSTIVE):
+        "1e54c506162ee94719eb943aa7cea826beb21d60120da2138fd4fbb12eddaa0a",
+    ("qpsk-rx2", "proposed", EXHAUSTIVE):
+        "9b491ea10c28ca326fd1cfe42957025c99aea9b36d9fbe59ed47e2b41152e1ad",
+    ("qpsk-rx2", "proposed", DECOUPLED):
+        "b12d9102c4852b8053ee2e105d37c170e9b8dbd365bd68cb01df100c71ba48af",
+    ("qpsk-rx2", "qosf-p1", EXHAUSTIVE):
+        "2f8f3b21a5aeb371097e1dd1edc60965e6452182c83065f6bebecc81133f1397",
+    ("qpsk-rx2", "qosf-p1", DECOUPLED):
+        "f49d4d030c6cb277481fe6ecad4a4b8c531ab9ef6753f56adf3cbdae2ddeb312",
+    ("qpsk-rx2", "alamouti-sf", EXHAUSTIVE):
+        "87a7087704abf673cf21fecc57f3cf6ba536ad6faf3f05a620ba915b20faa0f7",
+}
+
+
+def test_results_texts_pinned():
+    """Results files stay byte-identical for a given (config, seed).
+
+    A change that keeps every results byte leaves these digests as they are.
+    Re-pin them only in a change that alters results bytes on purpose, and
+    say there why the bytes changed.
+    """
+    configs = {"bpsk": {}, "qpsk": {"constellation": QPSK},
+               "qpsk-rx2": {"constellation": QPSK, "num_rx": 2}}
+    got = {}
+    for name, scenario, decoder in PINNED_TEXT_SHA256:
+        spec = scenario_spec(scenario, SystemConfig(**configs[name]), decoder_mode=decoder,
+                             snr_db_points=(0.0, 4.0, 8.0, 12.0, 16.0), min_bit_errors=100,
+                             max_ofdm_blocks=300)
+        text = format_results(run_sweep(spec, workers=1))
+        got[name, scenario, decoder] = hashlib.sha256(text.encode("utf-8")).hexdigest()
+    assert got == PINNED_TEXT_SHA256
