@@ -17,6 +17,17 @@ from dataclasses import dataclass
 from .core import BPSK, constellation_points, is_power_of_two
 
 
+# Bytes one OFDM block holds per tone, state and receive antenna while it runs:
+# its bits, response and samples, and decode's per-tone arrays (scaled
+# response, Gram matrices, matched filter, coefficient rows and their product
+# with the factor).  The harness sizes its chunks of blocks by it.
+TONE_BYTES = 256
+# Most bytes one block may hold: 16,384 times the default block's 64 KiB.
+# Every stage takes a block whole, so a larger one could not run at all, and
+# its sizes could pass every other check yet not be array dimensions.
+MAX_BLOCK_BYTES = 1 << 30
+
+
 class ConfigError(ValueError):
     """Invalid or inconsistent scenario configuration."""
 
@@ -113,6 +124,15 @@ class SystemConfig:
         for a in self.rotation_angles:
             if not 0.0 <= a < 2 * math.pi:
                 raise ConfigError(f"rotation angle {a} outside [0, 2*pi)")
+        if self.block_bytes > MAX_BLOCK_BYTES:  # name the largest of the sizes it multiplies
+            sizes = {"num_subcarriers": self.num_subcarriers, "num_rx": self.num_rx,
+                     "num_states": self.num_states}
+            name = max(sizes, key=sizes.get)
+            raise ConfigError(
+                f"{name} must be at most {MAX_BLOCK_BYTES * sizes[name] // self.block_bytes} "
+                f"with the other sizes given: one block holds {TONE_BYTES} bytes per tone, "
+                f"state and receive antenna, and at most {MAX_BLOCK_BYTES} in all"
+            )
         for name in ("delays_s", "path_powers"):
             object.__setattr__(self, name, _per_state(getattr(self, name), self.num_states, name))
         max_delay = 0.0
@@ -158,6 +178,12 @@ class SystemConfig:
     @property
     def symbols_per_group(self) -> int:
         return 2 * self.pl
+
+    @property
+    def block_bytes(self) -> int:
+        """Bytes one OFDM block holds while it runs, at TONE_BYTES per tone,
+        state and receive antenna."""
+        return TONE_BYTES * self.num_states * self.num_subcarriers * self.num_rx
 
     @property
     def subcarrier_spacing_hz(self) -> float:

@@ -18,6 +18,7 @@ stopped, so a chunk's later blocks never reach the results.
 from __future__ import annotations
 
 import concurrent.futures
+import ctypes
 import functools
 import itertools
 import json
@@ -30,7 +31,7 @@ import numpy as np
 
 from .channel import apply, draw_channel, frequency_response
 from .config import SystemConfig, config_from_dict, config_to_dict, is_integer, is_real
-from .decoder import DECOUPLED, EXHAUSTIVE
+from .decoder import _PRODUCT_CANDIDATES, DECOUPLED, EXHAUSTIVE, candidates_per_pass
 from .schemes import QosfScheme, alamouti_variant, p1_variant
 from .version import __version__
 
@@ -53,18 +54,15 @@ _WINDOW_BLOCKS = 256
 # Byte budget of the arrays one chunk of blocks holds at once, beside what a
 # decode call holds once whatever its batch: the product path's metric slice
 # or the sphere search's frontier.  It sets how much a sweep's peak resident
-# set grows, heap fragmentation included.  With the factored product metric,
-# on a 2-vCPU host, interleaved curve-p2 sweeps (default P=2 BPSK code, 0-10
-# dB, 200-error stop) ran fastest with 8-block chunks in four sets of five:
-# 88-105 us per block, against 95-130 with 6 and 97-117 with 12, where decode
-# itself slowed (46-55 against 36-41 us per block).  The benchmark's curve-p2
-# peak read about 0.15 MiB above 6-block chunks with 8 and 0.5 MiB with 12.
-_CHUNK_BYTES = 512 * 1024
-# Bytes a block adds to a chunk per tone, state and receive antenna: its bits,
-# response and samples, and decode's per-tone arrays (scaled response, Gram
-# matrices, matched filter, coefficient rows and their product with the
-# factor).
-_TONE_BYTES = 256
+# set grows, heap fragmentation included.  On a 2-vCPU host, alternating
+# curve-p2 rounds (default P=2 BPSK code, 0-10 dB, 200-error stop) ran 16-block
+# chunks 1.05x faster than 8 with the heap kept (_keep_heap), and 32 blocks a
+# further 1.06x at +1.1 MiB of peak; without the heap settings, 16-block
+# chunks took 11.6 minor faults per block and ran 1.28x slower.  Passes that
+# run the sphere search keep _SEARCH_CHUNK_BYTES, 8 P=2 QPSK exhaustive
+# blocks: a longer chunk there waits for a stop-rule QPSK workload.
+_CHUNK_BYTES = 1024 * 1024
+_SEARCH_CHUNK_BYTES = 512 * 1024
 
 DEFAULT_SNR_DB = tuple(float(s) for s in range(0, 21, 2))
 # Largest |SNR| in dB a point may ask for.  10**(SNR/10) must stay a normal
@@ -278,13 +276,41 @@ def _scenario_key(spec: SweepSpec) -> int | None:
 
 
 def _chunk_cap(spec: SweepSpec) -> int:
-    """Most blocks one chunk may hold within _CHUNK_BYTES, at about _TONE_BYTES
-    per tone, state and receive antenna of each block: 8 for the default P=2
-    code on 128 tones, 16 for P=1.  What a decode call holds once is not charged.
+    """Most blocks one chunk may hold within _CHUNK_BYTES (_SEARCH_CHUNK_BYTES
+    if a pass runs the sphere search), at a block's block_bytes: 16 for the
+    default P=2 BPSK code on 128 tones, 8 for its QPSK exhaustive form, 32 for
+    P=1.  What a decode call holds once is not charged.
     """
     cfg = spec.config
-    block = _TONE_BYTES * cfg.num_states * cfg.num_subcarriers * cfg.num_rx
-    return max(1, _CHUNK_BYTES // block)
+    search = candidates_per_pass(cfg, spec.decoder_mode) > _PRODUCT_CANDIDATES
+    return max(1, (_SEARCH_CHUNK_BYTES if search else _CHUNK_BYTES) // cfg.block_bytes)
+
+
+# glibc's mallopt parameters (malloc.h).
+_M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3
+
+
+@functools.cache
+def _keep_heap() -> None:
+    """Keep the block loop's arrays on glibc's heap, once per process.
+
+    By default glibc maps an array past its mmap threshold (128 KiB, rising
+    with what is freed) on its own, and hands the top of the heap back once
+    more than twice that is free, so every chunk faults its pages in anew.  An
+    array below 16 MiB, more than a chunk or a decode call holds, now comes
+    from the heap, and up to 64 MiB of free top stays mapped.  Both are set:
+    setting either freezes the other where glibc's dynamic rule has left it.
+    Elsewhere than glibc this does nothing.
+    """
+    try:
+        if not os.confstr("CS_GNU_LIBC_VERSION"):
+            return
+    except (AttributeError, OSError, ValueError):  # no confstr, or no such name
+        return
+    mallopt = ctypes.CDLL(None).mallopt
+    mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
+    mallopt(_M_MMAP_THRESHOLD, 16 << 20)
+    mallopt(_M_TRIM_THRESHOLD, 64 << 20)
 
 
 def _chunk_errors(spec: SweepSpec, scheme: QosfScheme, snr_linear: float, window: tuple,
@@ -324,6 +350,7 @@ def run_point(spec: SweepSpec, snr_db: float, snr_index: int) -> BerPoint:
     predicts.  The point ends at the first block whose running error count
     reaches min_bit_errors, as if the blocks had run one at a time.
     """
+    _keep_heap()
     scheme = build_scheme(spec)
     snr_linear = 10.0 ** (snr_db / 10.0)
     cap = min(_chunk_cap(spec), _WINDOW_BLOCKS)

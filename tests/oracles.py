@@ -73,6 +73,18 @@ def einsum_coefficients(h, y):
     return coeffs.reshape(h.shape[0], -1)
 
 
+def axis_sum_coefficients(h, y):
+    """decoder._coefficients as it was: the Gram diagonal and the matched
+    filter summed over the receive antennas by .sum over that middle axis."""
+    coeffs = np.empty(h.shape[:3] + (8,))
+    coeffs[..., 0:2] = (h.real ** 2 + h.imag ** 2).sum(-2)
+    coeffs[..., 2:4] = (np.conj(h[..., 0]) * h[..., 1]).sum(-1)[..., None].view(float)
+    matched = (np.conj(h) * y[..., None]).sum(-2)
+    np.multiply(matched.real, -2.0, out=coeffs[..., 4::2])
+    np.multiply(matched.imag, -2.0, out=coeffs[..., 5::2])
+    return coeffs.reshape(h.shape[0], -1)
+
+
 def combine(group, theta: np.ndarray) -> np.ndarray:
     """Rotate-and-combine one symbol group, keeping unit average entry energy.
 

@@ -278,6 +278,32 @@ def test_simulate_rejects_huge_num_states_before_expanding_lists(tmp_path, monke
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "changes, key",
+    [pytest.param({"num_rx": 2**70}, "num_rx", id="num_rx-2**70"),
+     pytest.param({"num_rx": 10**400}, "num_rx", id="num_rx-10**400"),
+     pytest.param({"num_subcarriers": 2**70}, "num_subcarriers", id="num_subcarriers-2**70"),
+     pytest.param({"num_subcarriers": 2**30, "delays_s": [0.0, 0.0], "cp_len": 0},
+                  "num_subcarriers", id="num_subcarriers-2**30-zero-delays")],
+)
+def test_simulate_rejects_a_block_too_large_to_hold(tmp_path, monkeypatch, changes, key):
+    # Sizes that pass every other check, yet make one block too large to hold
+    # or to be an array dimension, are refused by name when the config loads,
+    # before any array is sized from them.
+    def simulate(spec, workers=None):
+        raise AssertionError("a sweep started")
+
+    monkeypatch.setattr(harness, "run_sweep", simulate)
+    cfg_path = tmp_path / "system.json"
+    cfg_path.write_text(json.dumps(changes))
+    out = tmp_path / "o"
+    result = CliRunner().invoke(
+        main, ["simulate", "--config", str(cfg_path), "--snr", "0", "--out", str(out)])
+    assert result.exit_code == 2, result.output
+    assert result.output.startswith(f"error: {key} must be at most "), result.output
+    assert "Traceback" not in result.output and not out.exists()
+
+
 def test_simulate_reports_memory_error(tmp_path, small_config, monkeypatch):
     def out_of_memory(spec, workers=None):
         raise MemoryError("Unable to allocate 8.00 TiB for an array")

@@ -13,13 +13,15 @@ from qosf.core import (
     BPSK, QPSK, CapExceededError, bits_per_symbol, constellation_points, modulate, product_rows,
 )
 from oracles import (
-    GROUP_DECODERS, decoupled_ml_decode_group, demodulate, einsum_coefficients, group_observation,
+    GROUP_DECODERS, axis_sum_coefficients, decoupled_ml_decode_group, demodulate,
+    einsum_coefficients, group_observation,
     labels_to_bits, ml_decode_group, product_features, two_product_decode,
 )
 from qosf import SystemConfig
+from qosf.config import TONE_BYTES
 from qosf import decoder
 from qosf.decoder import DECOUPLED, EXHAUSTIVE, candidates_per_pass, decode
-from qosf.harness import _TONE_BYTES, SCENARIOS, SweepSpec, _chunk_cap
+from qosf.harness import SCENARIOS, SweepSpec, _chunk_cap
 from qosf.schemes import alamouti_variant, p1_variant
 
 
@@ -483,17 +485,30 @@ def test_elementwise_rows_decide_as_the_einsum_rows(monkeypatch, constellation, 
                         atol=16 * np.finfo(float).eps * np.abs(want).max())
 
 
+@pytest.mark.parametrize("num_rx", [1, 2, 3, 4])
+def test_coefficient_rows_equal_the_axis_sums(num_rx):
+    # _coefficients adds the receive antennas one by one, and its rows are
+    # bit-equal to the .sum(-2) form it replaced.  Entries spread over 16
+    # decades, so another order of the adds shows in the rounding.
+    rng = np.random.default_rng(24)
+    h, y = ((rng.standard_normal(shape + (2,)) * 10.0 ** rng.integers(-8, 8, shape + (2,)))
+            .view(complex)[..., 0] for shape in ((256, 2, 4, num_rx, 2), (256, 2, 4, num_rx)))
+    h = np.ascontiguousarray(h)
+    npt.assert_array_equal(decoder._coefficients(h, y), axis_sum_coefficients(h, y))
+
+
 def test_product_decode_holds_its_metric_once_per_call():
     # A P=2 BPSK exhaustive call holds one block's metric slice whatever its
-    # batch, so an 8-block chunk peaks at most one block's peak plus the seven
-    # further blocks' _TONE_BYTES per tone, state and receive antenna, what
+    # batch, so a 16-block chunk peaks at most one block's peak plus the 15
+    # further blocks' TONE_BYTES per tone, state and receive antenna, what
     # the harness charges them.  An unsliced metric would add 64 KiB a block.
     cfg = SystemConfig()
     rng = np.random.default_rng(18)
-    per_block = _TONE_BYTES * cfg.num_states * cfg.num_subcarriers * cfg.num_rx
-    assert _chunk_cap(SweepSpec(config=cfg)) == 8
+    per_block = TONE_BYTES * cfg.num_states * cfg.num_subcarriers * cfg.num_rx
+    cap = _chunk_cap(SweepSpec(config=cfg))
+    assert cap == 16
     peaks = {}
-    for count in (1, 8):
+    for count in (1, cap):
         bits = rng.integers(0, 2, (count, cfg.num_groups * cfg.symbols_per_group))
         grid = frequency_response(draw_channel(cfg, [rng] * count), cfg)
         received = apply(encode(modulate(bits.reshape(-1), BPSK).reshape(count, -1), cfg),
@@ -505,4 +520,4 @@ def test_product_decode_holds_its_metric_once_per_call():
             peaks[count] = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-    assert peaks[8] <= peaks[1] + 7 * per_block, (peaks, per_block)
+    assert peaks[cap] <= peaks[1] + (cap - 1) * per_block, (peaks, per_block)

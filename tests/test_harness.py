@@ -431,21 +431,93 @@ def test_run_point_chunks_the_sphere_search(monkeypatch):
         assert max(len(c) for c in chunks) >= 3, snr
 
 
+# (scenario, spec fields) of the chunk-budget check: a P=2 BPSK stop-rule
+# point, a P=1 stop-rule point and a P=2 QPSK exhaustive fixed-budget point,
+# whose passes run the sphere search.
+_BUDGET_RUNS = [("proposed", dict(min_bit_errors=200, max_ofdm_blocks=400)),
+                ("qosf-p1", dict(min_bit_errors=200, max_ofdm_blocks=400)),
+                ("proposed", dict(constellation=QPSK, min_bit_errors=10**9, max_ofdm_blocks=37))]
+
+
+@pytest.mark.parametrize("scale", [1 / 16, 1, 4], ids=["64KiB", "default", "4MiB"])
+@pytest.mark.parametrize("scenario,fields", _BUDGET_RUNS, ids=["p2-bpsk", "p1-bpsk", "p2-qpsk"])
+def test_run_point_does_not_depend_on_the_chunk_budget(monkeypatch, scale, scenario, fields):
+    # The budgets scaled together: _CHUNK_BYTES 64 KiB, 1 MiB or 4 MiB, with
+    # the sphere search's half.  Each returns the one-block-at-a-time point.
+    monkeypatch.setattr(harness, "_CHUNK_BYTES", int(harness._CHUNK_BYTES * scale))
+    monkeypatch.setattr(harness, "_SEARCH_CHUNK_BYTES", int(harness._SEARCH_CHUNK_BYTES * scale))
+    chunks, _ = _record_chunks(monkeypatch)
+    fields = dict(fields)
+    config = SystemConfig(constellation=fields.pop("constellation", BPSK), master_seed=5)
+    spec = scenario_spec(scenario, config, snr_db_points=(6.0,), **fields)
+    assert run_point(spec, 6.0, 0) == serial_point(spec, 6.0, 0)
+    longest, cap = max(len(c) for c in chunks), harness._chunk_cap(spec)
+    assert longest == cap if spec.min_bit_errors == 10**9 else longest <= cap
+
+
+def _glibc() -> bool:
+    try:
+        return bool(os.confstr("CS_GNU_LIBC_VERSION"))
+    except (AttributeError, OSError, ValueError):
+        return False
+
+
+@pytest.mark.skipif(not _glibc(), reason="sets glibc's heap; the fault count is Linux's")
+def test_block_loop_keeps_its_heap_between_chunks():
+    # Without _keep_heap glibc handed the top of the heap back after each
+    # 16-block chunk and faulted it in again on the next, 12-14 minor faults
+    # per block of a second 10 dB point.  With it, the second point runs its
+    # blocks on pages the first one left mapped.
+    code = """if True:
+        import resource
+        from qosf import SystemConfig
+        from qosf.harness import SweepSpec, run_point
+        spec = SweepSpec(config=SystemConfig(), snr_db_points=(10.0,))
+        run_point(spec, 10.0, 0)
+        before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+        point = run_point(spec, 10.0, 0)
+        faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
+        print(point.bits_simulated // 256, faults)
+    """
+    env = dict(os.environ, PYTHONPATH=str(Path(harness.__file__).resolve().parents[1]))
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                          timeout=120, check=True)
+    blocks, faults = map(int, done.stdout.split())
+    assert blocks > 1000
+    assert faults < 0.5 * blocks, (faults, blocks)
+
+
+def test_keep_heap_leaves_other_allocators_alone(monkeypatch):
+    # Where libc is not glibc, _keep_heap looks for no mallopt.
+    def no_such_name(name):
+        raise ValueError(f"unrecognized configuration name {name!r}")
+
+    def cdll(*args):
+        raise AssertionError("looked for mallopt")
+
+    monkeypatch.setattr(os, "confstr", no_such_name)
+    monkeypatch.setattr(harness.ctypes, "CDLL", cdll)
+    harness._keep_heap.__wrapped__()
+
+
 def test_chunk_cap_counts_only_blocks():
-    # A chunk is charged _TONE_BYTES per tone, state and receive antenna of
+    # A chunk is charged TONE_BYTES per tone, state and receive antenna of
     # each block and nothing else: what a decode call holds once whatever its
     # batch (the product path's metric slice, the sphere search's frontier)
-    # sits beside the budget.  curve-p2's P=2 BPSK and qpsk-ml's P=2 QPSK
-    # exhaustive codes run 8 blocks per chunk, the default P=1 scenarios 16,
-    # and a P=1 QPSK exhaustive code on 512 tones 4.
+    # sits beside the budget.  curve-p2's P=2 BPSK code runs 16 blocks per
+    # chunk, as does its QPSK decoupled form, the default P=1 scenarios 32,
+    # and a P=1 QPSK exhaustive code on 512 tones 8.  Passes that run the
+    # sphere search have half the budget: qpsk-ml's P=2 QPSK exhaustive code
+    # runs 8, and 4 on two receive antennas.
     qpsk = SystemConfig(constellation=QPSK)
-    assert harness._chunk_cap(SweepSpec(config=SystemConfig())) == 8
+    assert harness._chunk_cap(SweepSpec(config=SystemConfig())) == 16
     assert harness._chunk_cap(SweepSpec(config=qpsk)) == 8
-    assert harness._chunk_cap(SweepSpec(config=qpsk, decoder_mode=DECOUPLED)) == 8
+    assert harness._chunk_cap(SweepSpec(config=qpsk, decoder_mode=DECOUPLED)) == 16
+    assert harness._chunk_cap(SweepSpec(config=SystemConfig(constellation=QPSK, num_rx=2))) == 4
     for scenario in ("qosf-p1", "alamouti-sf"):
-        assert harness._chunk_cap(scenario_spec(scenario, SystemConfig())) == 16
+        assert harness._chunk_cap(scenario_spec(scenario, SystemConfig())) == 32
     wide = SystemConfig(constellation=QPSK, num_subcarriers=512, cp_len=256)
-    assert harness._chunk_cap(scenario_spec("qosf-p1", wide)) == 4
+    assert harness._chunk_cap(scenario_spec("qosf-p1", wide)) == 8
 
 
 def test_default_worker_count_env(monkeypatch):
@@ -723,3 +795,15 @@ def test_results_texts_pinned():
         text = format_results(run_sweep(spec, workers=1))
         got[name, scenario, decoder] = hashlib.sha256(text.encode("utf-8")).hexdigest()
     assert got == PINNED_TEXT_SHA256
+
+
+def test_results_texts_pinned_under_another_blas_kernel():
+    # numpy's OpenBLAS picks its kernel at run time; Prescott is an old
+    # generic one.  decode's products must give the same bytes under it.
+    env = dict(os.environ, OPENBLAS_CORETYPE="Prescott")
+    done = subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
+         f"{__file__}::test_results_texts_pinned"],
+        env=env, cwd=Path(__file__).resolve().parents[1], capture_output=True, text=True,
+        timeout=300)
+    assert done.returncode == 0, done.stdout + done.stderr
