@@ -465,7 +465,7 @@ def _glibc() -> bool:
 @pytest.mark.skipif(not _glibc(), reason="sets glibc's heap; the fault count is Linux's")
 def test_block_loop_keeps_its_heap_between_chunks():
     # Without _keep_heap glibc handed the top of the heap back after each
-    # 16-block chunk and faulted it in again on the next, 12-14 minor faults
+    # 16-block chunk and faulted it in again on the next, 6-14 minor faults
     # per block of a second 10 dB point.  With it, the second point runs its
     # blocks on pages the first one left mapped.
     code = """if True:
