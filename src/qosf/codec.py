@@ -26,8 +26,7 @@ class SfCodeword:
     """Per-state transmit matrices, one row per antenna, one column per tone.
 
     states has shape (P, num_tx, num_subcarriers) for one block, with any
-    leading block axes in front for a batch.  Columns past
-    num_groups * 2 * L are zero padding and transmit no energy.
+    leading block axes in front for a batch.
     """
 
     states: np.ndarray
@@ -61,11 +60,10 @@ def _theta(rotation_angles: tuple, pl: int) -> np.ndarray:
 
 def group_windows(per_tone: np.ndarray, config: SystemConfig) -> np.ndarray:
     """[B, M, P, 2L, ...] view of a [B, P, Nc, ...] per-tone array of B blocks:
-    group m's window is tones [m*2L, (m+1)*2L) of every state, and padding
-    tones are left out."""
+    group m's window is tones [m*2L, (m+1)*2L) of every state."""
     m, span = config.num_groups, config.group_span
     b, p = per_tone.shape[:2]
-    windows = per_tone[:, :, : m * span].reshape(b, p, m, span, *per_tone.shape[3:])
+    windows = per_tone.reshape(b, p, m, span, *per_tone.shape[3:])
     return windows.swapaxes(1, 2)
 
 
@@ -130,7 +128,7 @@ def _format_complex(z: complex) -> str:
 
 def write_codeword(codeword: SfCodeword, path) -> None:
     """One line per (state, antenna) pair, comma-separated "re+imj" entries."""
-    with open(path, "w") as fh:
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
         for state in codeword.states:
             for row in state:
                 fh.write(",".join(_format_complex(z) for z in row) + "\n")

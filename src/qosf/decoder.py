@@ -42,7 +42,7 @@ DEFAULT_SEARCH_CAP = 2 ** 20
 # the search for P=2 BPSK exhaustive (256 candidates), and 0.63-0.71 against
 # 3.2-3.5 ms for P=2 QPSK decoupled (two passes of 256).  One P=2 QPSK
 # exhaustive block (65,536) took 6.5 ms with the product, 1.9-2.1 with the
-# search; the harness batches up to six such blocks per call.
+# search; a harness chunk holds 16 such blocks, searched in slices of groups.
 _PRODUCT_CANDIDATES = 256
 
 # The sphere search expands its tree in pieces of at most _PIECE_NODES nodes,

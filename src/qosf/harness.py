@@ -31,7 +31,7 @@ import numpy as np
 
 from .channel import apply, draw_channel, frequency_response
 from .config import SystemConfig, config_from_dict, config_to_dict, is_integer, is_real
-from .decoder import _PRODUCT_CANDIDATES, DECOUPLED, EXHAUSTIVE, candidates_per_pass
+from .decoder import DECOUPLED, EXHAUSTIVE
 from .schemes import QosfScheme, alamouti_variant, p1_variant
 from .version import __version__
 
@@ -58,11 +58,9 @@ _WINDOW_BLOCKS = 256
 # curve-p2 rounds (default P=2 BPSK code, 0-10 dB, 200-error stop) ran 16-block
 # chunks 1.05x faster than 8 with the heap kept (_keep_heap), and 32 blocks a
 # further 1.06x at +1.1 MiB of peak; without the heap settings, 16-block
-# chunks took 11.6 minor faults per block and ran 1.28x slower.  Passes that
-# run the sphere search keep _SEARCH_CHUNK_BYTES, 8 P=2 QPSK exhaustive
-# blocks: a longer chunk there waits for a stop-rule QPSK workload.
+# chunks took 11.6 minor faults per block and ran 1.28x slower.  Stop-rule
+# P=2 QPSK exhaustive rounds ran 16-block chunks 1.03x faster than 8.
 _CHUNK_BYTES = 1024 * 1024
-_SEARCH_CHUNK_BYTES = 512 * 1024
 
 DEFAULT_SNR_DB = tuple(float(s) for s in range(0, 21, 2))
 # Largest |SNR| in dB a point may ask for.  10**(SNR/10) must stay a normal
@@ -203,6 +201,8 @@ SCENARIOS = {
 
 def scenario_spec(name: str, config: SystemConfig, **fields) -> SweepSpec:
     """SweepSpec for the named scenario run on (a variant of) config."""
+    if name not in SCENARIOS:
+        raise InvalidSpecError(f"unknown scenario {name!r}; one of {', '.join(SCENARIOS)}")
     variant, scheme = SCENARIOS[name]
     return SweepSpec(config=variant(config), scheme=scheme, scenario_label=name, **fields)
 
@@ -276,14 +276,10 @@ def _scenario_key(spec: SweepSpec) -> int | None:
 
 
 def _chunk_cap(spec: SweepSpec) -> int:
-    """Most blocks one chunk may hold within _CHUNK_BYTES (_SEARCH_CHUNK_BYTES
-    if a pass runs the sphere search), at a block's block_bytes: 16 for the
-    default P=2 BPSK code on 128 tones, 8 for its QPSK exhaustive form, 32 for
-    P=1.  What a decode call holds once is not charged.
-    """
-    cfg = spec.config
-    search = candidates_per_pass(cfg, spec.decoder_mode) > _PRODUCT_CANDIDATES
-    return max(1, (_SEARCH_CHUNK_BYTES if search else _CHUNK_BYTES) // cfg.block_bytes)
+    """Most blocks one chunk may hold within _CHUNK_BYTES at a block's
+    block_bytes: 16 for the default P=2 code on 128 tones, in BPSK or QPSK,
+    and 32 for P=1.  What a decode call holds once is not charged."""
+    return max(1, _CHUNK_BYTES // spec.config.block_bytes)
 
 
 # glibc's mallopt parameters (malloc.h).
@@ -342,13 +338,14 @@ def run_point(spec: SweepSpec, snr_db: float, snr_index: int) -> BerPoint:
     random stream, so sweeps whose grids share a common prefix draw the same
     channels and noise at the same SNR.
 
-    Blocks run in chunks of at most _chunk_cap, the budget left and the
-    _WINDOW_BLOCKS whose seed words are computed at once.  Within that, no chunk
-    is smaller than the blocks still needed for certain (a block has at most
-    bits_per_block errors); past that floor, the first is one block and each
-    later one at most twice the last and the blocks the error rate so far
-    predicts.  The point ends at the first block whose running error count
-    reaches min_bit_errors, as if the blocks had run one at a time.
+    Blocks run in chunks of at most _chunk_cap (_CHUNK_BYTES of blocks), the
+    budget left and the _WINDOW_BLOCKS whose seed words are computed at once.
+    Within that, no chunk is smaller than the blocks still needed for certain
+    (a block has at most bits_per_block errors); past that floor, the first is
+    one block and each later one at most twice the last and the blocks the
+    error rate so far predicts.  The point ends at the first block whose
+    running error count reaches min_bit_errors, as if the blocks had run one
+    at a time.
     """
     _keep_heap()
     scheme = build_scheme(spec)
@@ -393,6 +390,8 @@ def run_sweep(spec: SweepSpec, workers: int | None = None) -> SweepResult:
     """
     if workers is None:
         workers = default_worker_count()
+    if not is_integer(workers):
+        raise ValueError(f"workers must be an integer, got {workers!r}")
     if workers < 1:
         raise ValueError(f"workers must be at least 1, got {workers}")
     start = time.perf_counter()

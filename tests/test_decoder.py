@@ -360,8 +360,8 @@ def test_sphere_search_memory_is_bounded():
     cfg = SystemConfig(constellation=QPSK)
     rng = np.random.default_rng(16)
     decoder._candidates.cache_clear()
-    noisy_peaks = {}
-    for count in (1, 3, _chunk_cap(SweepSpec(config=cfg))):
+    noisy_peaks, cap = {}, _chunk_cap(SweepSpec(config=cfg))
+    for count in (1, 3, cap):
         zero = ChannelFrequencyGrid(response=np.zeros((count, 2, 128, 1, 2), dtype=complex))
         noisy = frequency_response(draw_channel(cfg, [rng] * count), cfg)
         first = labels_to_bits(np.zeros((count, cfg.num_groups, cfg.symbols_per_group),
@@ -381,8 +381,8 @@ def test_sphere_search_memory_is_bounded():
                 npt.assert_array_equal(decoded, first)
             else:
                 noisy_peaks[count] = peak
-    assert max(noisy_peaks) == 8
-    assert noisy_peaks[8] <= 1.25 * noisy_peaks[3], noisy_peaks
+    assert max(noisy_peaks) == cap
+    assert noisy_peaks[cap] <= 1.25 * noisy_peaks[3], noisy_peaks
     assert decoder._candidates.cache_info().currsize == 0
 
 

@@ -403,11 +403,11 @@ def _record_chunks(monkeypatch):
 
 def test_run_point_runs_fixed_budgets_in_whole_chunks(monkeypatch, small_config):
     # A min_bit_errors no budget can reach puts every block past the floor:
-    # a 17-block P=2 QPSK exhaustive point runs as 8 + 8 + 1.  A stop rule
+    # a 33-block P=2 QPSK exhaustive point runs as 16 + 16 + 1.  A stop rule
     # that one block could meet still starts at one block.
     chunks, _ = _record_chunks(monkeypatch)
     fixed = SweepSpec(config=SystemConfig(constellation=QPSK), snr_db_points=(6.0,),
-                      min_bit_errors=10 ** 9, max_ofdm_blocks=17)
+                      min_bit_errors=10 ** 9, max_ofdm_blocks=33)
     cap = harness._chunk_cap(fixed)
     assert run_point(fixed, 6.0, 0) == serial_point(fixed, 6.0, 0)
     assert len(chunks) == -(-fixed.max_ofdm_blocks // cap) == 3
@@ -433,19 +433,18 @@ def test_run_point_chunks_the_sphere_search(monkeypatch):
 
 # (scenario, spec fields) of the chunk-budget check: a P=2 BPSK stop-rule
 # point, a P=1 stop-rule point and a P=2 QPSK exhaustive fixed-budget point,
-# whose passes run the sphere search.
+# whose passes run the sphere search and whose budget outlasts a 4 MiB chunk.
 _BUDGET_RUNS = [("proposed", dict(min_bit_errors=200, max_ofdm_blocks=400)),
                 ("qosf-p1", dict(min_bit_errors=200, max_ofdm_blocks=400)),
-                ("proposed", dict(constellation=QPSK, min_bit_errors=10**9, max_ofdm_blocks=37))]
+                ("proposed", dict(constellation=QPSK, min_bit_errors=10**9, max_ofdm_blocks=67))]
 
 
 @pytest.mark.parametrize("scale", [1 / 16, 1, 4], ids=["64KiB", "default", "4MiB"])
 @pytest.mark.parametrize("scenario,fields", _BUDGET_RUNS, ids=["p2-bpsk", "p1-bpsk", "p2-qpsk"])
 def test_run_point_does_not_depend_on_the_chunk_budget(monkeypatch, scale, scenario, fields):
-    # The budgets scaled together: _CHUNK_BYTES 64 KiB, 1 MiB or 4 MiB, with
-    # the sphere search's half.  Each returns the one-block-at-a-time point.
+    # _CHUNK_BYTES at 64 KiB, 1 MiB or 4 MiB each returns the
+    # one-block-at-a-time point.
     monkeypatch.setattr(harness, "_CHUNK_BYTES", int(harness._CHUNK_BYTES * scale))
-    monkeypatch.setattr(harness, "_SEARCH_CHUNK_BYTES", int(harness._SEARCH_CHUNK_BYTES * scale))
     chunks, _ = _record_chunks(monkeypatch)
     fields = dict(fields)
     config = SystemConfig(constellation=fields.pop("constellation", BPSK), master_seed=5)
@@ -504,16 +503,15 @@ def test_chunk_cap_counts_only_blocks():
     # A chunk is charged TONE_BYTES per tone, state and receive antenna of
     # each block and nothing else: what a decode call holds once whatever its
     # batch (the product path's metric slice, the sphere search's frontier)
-    # sits beside the budget.  curve-p2's P=2 BPSK code runs 16 blocks per
-    # chunk, as does its QPSK decoupled form, the default P=1 scenarios 32,
-    # and a P=1 QPSK exhaustive code on 512 tones 8.  Passes that run the
-    # sphere search have half the budget: qpsk-ml's P=2 QPSK exhaustive code
-    # runs 8, and 4 on two receive antennas.
+    # sits beside the budget, whichever search a pass runs.  curve-p2's P=2
+    # BPSK code runs 16 blocks per chunk, as do qpsk-ml's P=2 QPSK exhaustive
+    # code and its decoupled form, 8 on two receive antennas, the default
+    # P=1 scenarios 32, and a P=1 QPSK exhaustive code on 512 tones 8.
     qpsk = SystemConfig(constellation=QPSK)
     assert harness._chunk_cap(SweepSpec(config=SystemConfig())) == 16
-    assert harness._chunk_cap(SweepSpec(config=qpsk)) == 8
+    assert harness._chunk_cap(SweepSpec(config=qpsk)) == 16
     assert harness._chunk_cap(SweepSpec(config=qpsk, decoder_mode=DECOUPLED)) == 16
-    assert harness._chunk_cap(SweepSpec(config=SystemConfig(constellation=QPSK, num_rx=2))) == 4
+    assert harness._chunk_cap(SweepSpec(config=SystemConfig(constellation=QPSK, num_rx=2))) == 8
     for scenario in ("qosf-p1", "alamouti-sf"):
         assert harness._chunk_cap(scenario_spec(scenario, SystemConfig())) == 32
     wide = SystemConfig(constellation=QPSK, num_subcarriers=512, cp_len=256)
@@ -570,6 +568,21 @@ def test_run_sweep_rejects_non_integer_env(small_config, recording_pool, monkeyp
     with pytest.raises(ValueError, match="QOSF_WORKERS"):
         run_sweep(_tiny_spec(small_config))
     assert recording_pool.created == []
+
+
+@pytest.mark.parametrize("workers,points", [(2.5, 3), (2.5, 1), ("2", 3), (True, 3)],
+                         ids=["float", "float-one-point", "string", "bool"])
+def test_run_sweep_rejects_non_integer_workers(small_config, recording_pool, workers, points):
+    # Checked before any pool starts, whatever the point count.
+    spec = _tiny_spec(small_config, snr_db_points=tuple(range(points)), max_ofdm_blocks=1)
+    with pytest.raises(ValueError, match=f"workers must be an integer, got {workers!r}"):
+        run_sweep(spec, workers=workers)
+    assert recording_pool.created == []
+
+
+def test_scenario_spec_rejects_unknown_scenario(small_config):
+    with pytest.raises(InvalidSpecError, match="'nope'; one of proposed, qosf-p1, alamouti-sf"):
+        scenario_spec("nope", small_config)
 
 
 # --- curve analysis ------------------------------------------------------
