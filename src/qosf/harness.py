@@ -59,7 +59,7 @@ _WINDOW_BLOCKS = 256
 # chunks 1.05x faster than 8 with the heap kept (_keep_heap), and 32 blocks a
 # further 1.06x at +1.1 MiB of peak; without the heap settings, 16-block
 # chunks took 11.6 minor faults per block and ran 1.28x slower.  Stop-rule
-# P=2 QPSK exhaustive rounds ran 16-block chunks 1.03x faster than 8.
+# P=2 QPSK exhaustive rounds ran 16-block chunks 1.035x faster than 8.
 _CHUNK_BYTES = 1024 * 1024
 
 DEFAULT_SNR_DB = tuple(float(s) for s in range(0, 21, 2))

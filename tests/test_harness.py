@@ -505,8 +505,8 @@ def test_chunk_cap_counts_only_blocks():
     # batch (the product path's metric slice, the sphere search's frontier)
     # sits beside the budget, whichever search a pass runs.  curve-p2's P=2
     # BPSK code runs 16 blocks per chunk, as do qpsk-ml's P=2 QPSK exhaustive
-    # code and its decoupled form, 8 on two receive antennas, the default
-    # P=1 scenarios 32, and a P=1 QPSK exhaustive code on 512 tones 8.
+    # code and its decoupled form; two receive antennas halve that to 8.  The
+    # default P=1 scenarios run 32, and a P=1 QPSK code on 512 tones 8.
     qpsk = SystemConfig(constellation=QPSK)
     assert harness._chunk_cap(SweepSpec(config=SystemConfig())) == 16
     assert harness._chunk_cap(SweepSpec(config=qpsk)) == 16
