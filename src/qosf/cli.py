@@ -52,7 +52,7 @@ def main():
 def encode_cmd(config_path, bits_path, out_path):
     """Encode a bit file into the per-state codeword dump."""
     config = load_config(config_path)
-    with open(bits_path, "r", encoding="utf-8") as fh:
+    with open(bits_path, "r", encoding="utf-8", errors="replace") as fh:
         text = "".join(fh.read().split())
     if not text or set(text) - {"0", "1"}:
         raise ConfigError(f"{bits_path}: expected only 0/1 characters")

@@ -32,10 +32,6 @@ class ConfigError(ValueError):
     """Invalid or inconsistent scenario configuration."""
 
 
-class SubcarrierMultipleError(ConfigError):
-    """num_subcarriers is not a multiple of code_paths * num_tx."""
-
-
 @dataclass(frozen=True)
 class SystemConfig:
     """All scenario parameters of the reconfigurable MIMO-OFDM link.
@@ -109,7 +105,7 @@ class SystemConfig:
             raise ConfigError("master_seed must fit in an unsigned 64-bit integer")
         constellation_points(self.constellation)
         if self.num_subcarriers % self.group_span != 0:
-            raise SubcarrierMultipleError(
+            raise ConfigError(
                 f"num_subcarriers ({self.num_subcarriers}) must be a multiple of "
                 f"code_paths * num_tx ({self.group_span})"
             )
@@ -253,10 +249,10 @@ def config_from_dict(data: dict) -> SystemConfig:
 
 def load_config(path) -> SystemConfig:
     """Read a SystemConfig from a flat JSON file (delays in seconds, angles in radians)."""
-    with open(path) as fh:
+    with open(path, encoding="utf-8") as fh:
         try:
             data = json.load(fh)
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
             raise ConfigError(f"{path}: not valid JSON ({exc})") from None
     if not isinstance(data, dict):
         raise ConfigError(f"{path}: config file must contain a JSON object")

@@ -22,14 +22,6 @@ _CONSTELLATIONS = {
 }
 
 
-class NotPowerOfTwoError(ValueError):
-    """Requested Hadamard order is not a power of two."""
-
-
-class OddBitCountError(ValueError):
-    """QPSK modulation needs an even number of bits."""
-
-
 class CapExceededError(RuntimeError):
     """A configured work cap (search space, grid size) would be exceeded."""
 
@@ -73,7 +65,7 @@ def hadamard(order: int) -> np.ndarray:
     number of bits i and j share, which is how it is computed here.
     """
     if not is_power_of_two(order):
-        raise NotPowerOfTwoError(f"Hadamard order must be a power of two, got {order}")
+        raise ValueError(f"Hadamard order must be a power of two, got {order}")
     index = np.arange(order, dtype=np.int64)
     shared = index[:, None] & index
     parity = np.zeros_like(shared)
@@ -97,7 +89,7 @@ def modulate(bits, constellation: str) -> np.ndarray:
     points = constellation_points(constellation)
     k = bits_per_symbol(constellation)
     if bits.size % k != 0:
-        raise OddBitCountError(f"{constellation} needs a multiple of {k} bits, got {bits.size}")
+        raise ValueError(f"{constellation} needs a multiple of {k} bits, got {bits.size}")
     return points[bits if k == 1 else 2 * bits[0::2] + bits[1::2]]
 
 

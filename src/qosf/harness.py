@@ -80,6 +80,15 @@ class ResultsParseError(ValueError):
     """Results file is malformed; message names the offending line."""
 
 
+def _check_snr_db(snr_db: float, name: str) -> None:
+    """Refuse an SNR that is not finite or is past MAX_ABS_SNR_DB, naming the input."""
+    if not np.isfinite(snr_db):
+        raise InvalidSpecError(f"{name} {snr_db!r} dB is not finite")
+    if abs(snr_db) > MAX_ABS_SNR_DB:
+        raise InvalidSpecError(f"{name} {snr_db!r} dB is outside [-{MAX_ABS_SNR_DB:g}, "
+                               f"{MAX_ABS_SNR_DB:g}] dB")
+
+
 @dataclass(frozen=True)
 class SweepSpec:
     """Everything run_sweep needs: scenario, stopping rule, decoder choice.
@@ -121,11 +130,7 @@ class SweepSpec:
         if not points:
             raise InvalidSpecError("need at least one SNR point")
         for s in points:
-            if not np.isfinite(s):
-                raise InvalidSpecError(f"SNR point {s!r} dB is not finite")
-            if abs(s) > MAX_ABS_SNR_DB:
-                raise InvalidSpecError(f"SNR point {s!r} dB is outside [-{MAX_ABS_SNR_DB:g}, "
-                                       f"{MAX_ABS_SNR_DB:g}] dB")
+            _check_snr_db(s, "SNR point")
         if any(later <= earlier for earlier, later in zip(points, points[1:])):
             raise InvalidSpecError("SNR points must be strictly increasing")
         for name in ("min_bit_errors", "max_ofdm_blocks"):
@@ -135,6 +140,8 @@ class SweepSpec:
             if value < 1:
                 raise InvalidSpecError(f"{name} must be at least 1")
             object.__setattr__(self, name, int(value))
+        if self.max_ofdm_blocks > 1 << 32:  # seed_words takes block indices below 2**32
+            raise InvalidSpecError("max_ofdm_blocks must be at most 2**32")
         if self.scheme not in _SCHEMES:
             raise InvalidSpecError(f"unknown scheme {self.scheme!r}")
         if self.decoder_mode not in (EXHAUSTIVE, DECOUPLED):
@@ -169,6 +176,9 @@ class BerPoint:
 
     def __post_init__(self):
         self.snr_db = float(self.snr_db)
+        for name in ("bits_simulated", "bit_errors"):
+            if not is_integer(getattr(self, name)):
+                raise ValueError(f"{name} must be an integer, got {getattr(self, name)!r}")
         if self.bits_simulated <= 0 or not 0 <= self.bit_errors <= self.bits_simulated:
             raise ValueError(
                 f"{self.bit_errors} errors in {self.bits_simulated} bits; need bits > 0 "
@@ -211,29 +221,24 @@ def build_scheme(spec: SweepSpec) -> QosfScheme:
     return QosfScheme(spec.config, decoder_mode=spec.decoder_mode)
 
 
-def _word_count(value: int) -> int:
-    """How many 32-bit words SeedSequence splits a non-negative int into."""
-    return max(1, -(-value.bit_length() // 32))
-
-
 def seed_words(master_seed: int, snr_index: int, blocks: range,
                scenario_key: int | None = None) -> np.ndarray:
     """[B, 3, 4] uint64 PCG64 seed words of the bits, channel and noise nodes of
     all blocks at once: row [b, s] is SeedSequence(master_seed, spawn_key=(key,
-    snr_index, blocks[b], s)).generate_state(4, np.uint64), key left out if None."""
-    if blocks.start < 1 << 32 < blocks.stop:  # from 2**32 to 2**64 a block is two words
-        parts = (range(blocks.start, 1 << 32), range(1 << 32, blocks.stop))
-        return np.concatenate([seed_words(master_seed, snr_index, p, scenario_key) for p in parts])
+    snr_index, blocks[b], s)).generate_state(4, np.uint64), key left out if None.
+    The seed is below 2**64 and each spawn-key entry below 2**32: one word each."""
     spawn = (snr_index,) if scenario_key is None else (scenario_key, snr_index)
+    if not (0 <= master_seed < 1 << 64
+            and all(0 <= v < 1 << 32 for v in (*spawn, blocks.start, blocks.stop - 1))):
+        raise ValueError(f"seed tree node ({master_seed}, {spawn}, blocks {blocks.start}.."
+                         f"{blocks.stop - 1}) is outside seed < 2**64, entries < 2**32")
     pool = np.random.SeedSequence(master_seed, spawn_key=spawn).pool
-    mixed = max(4, _word_count(master_seed)) + sum(map(_word_count, spawn))
-    index = np.arange(blocks.start, blocks.stop, dtype=np.uint64)[:, None]
-    words = [(index >> np.uint64(32 * i)).astype(np.uint32)
-             for i in range(_word_count(blocks.start))] + [np.arange(3, dtype=np.uint32)]
-    a = np.cumprod([_INIT_A] + [_MULT_A] * 4 * (mixed + len(words)), dtype=np.uint32)
+    words = (np.arange(blocks.start, blocks.stop, dtype=np.uint32)[:, None],
+             np.arange(3, dtype=np.uint32))
+    a = np.cumprod([_INIT_A] + [_MULT_A] * 4 * (6 + len(spawn)), dtype=np.uint32)
     b = np.cumprod([_INIT_B] + [_MULT_B] * 8, dtype=np.uint32)
     with np.errstate(over="ignore"):
-        for k, word in enumerate(words, start=mixed):  # hashed once per pool word
+        for k, word in enumerate(words, start=4 + len(spawn)):  # hashed once per pool word
             hashed = (word[..., None] ^ a[4 * k:4 * k + 4]) * a[4 * k + 1:4 * k + 5]
             pool = _MIX_L * pool - _MIX_R * (hashed ^ hashed >> 16)
             pool ^= pool >> 16
@@ -347,6 +352,11 @@ def run_point(spec: SweepSpec, snr_db: float, snr_index: int) -> BerPoint:
     running error count reaches min_bit_errors, as if the blocks had run one
     at a time.
     """
+    if not is_real(snr_db):
+        raise InvalidSpecError(f"snr_db must be a number, got {snr_db!r}")
+    _check_snr_db(snr_db, "snr_db")
+    if not is_integer(snr_index) or snr_index < 0:
+        raise InvalidSpecError(f"snr_index must be a non-negative integer, got {snr_index!r}")
     _keep_heap()
     scheme = build_scheme(spec)
     snr_linear = 10.0 ** (snr_db / 10.0)
@@ -416,6 +426,8 @@ def estimate_diversity_order(points, window: int = 3) -> float:
     Fits the highest-SNR `window` points that have nonzero BER; steeper decay
     means higher diversity order.
     """
+    if not is_integer(window):
+        raise ValueError(f"window must be an integer, got {window!r}")
     if window < 2:
         raise ValueError(f"window {window} is too small; a slope fit needs at least 2 points")
     usable = [p for p in points if p.ber > 0]
@@ -453,19 +465,25 @@ def snr_at_ber(points, target: float) -> float:
 # --- persistence ---------------------------------------------------------
 
 _CSV_HEADER = "snr_db,bits,errors,ber"
+_FLAG = {"true": True, "false": False}.__getitem__
+
+# The header's SweepSpec lines in file order: (key, field, writer, reader).
+_SPEC_HEADERS = (
+    ("scenario", "scenario_label", str, str),
+    ("scheme", "scheme", str, str),
+    ("decoder_mode", "decoder_mode", str, str),
+    ("snr_db_points", "snr_db_points", lambda v: ",".join(map(repr, v)),
+     lambda text: tuple(map(float, text.split(",")))),
+    ("min_bit_errors", "min_bit_errors", str, int),
+    ("max_ofdm_blocks", "max_ofdm_blocks", str, int),
+    ("noiseless", "noiseless", lambda v: str(v).lower(), _FLAG),
+    ("independent_streams", "independent_streams", lambda v: str(v).lower(), _FLAG),
+)
 
 
 def _header_pairs(result: SweepResult):
     spec = result.spec
-    return [
-        ("scenario", spec.scenario_label),
-        ("scheme", spec.scheme),
-        ("decoder_mode", spec.decoder_mode),
-        ("snr_db_points", ",".join(repr(s) for s in spec.snr_db_points)),
-        ("min_bit_errors", str(spec.min_bit_errors)),
-        ("max_ofdm_blocks", str(spec.max_ofdm_blocks)),
-        ("noiseless", str(spec.noiseless).lower()),
-        ("independent_streams", str(spec.independent_streams).lower()),
+    return [(key, write(getattr(spec, name))) for key, name, write, _ in _SPEC_HEADERS] + [
         ("master_seed", str(spec.config.master_seed)),
         ("code_version", result.code_version),
         ("config", json.dumps(config_to_dict(spec.config), sort_keys=True)),
@@ -490,9 +508,12 @@ def read_results(path) -> SweepResult:
     headers = {}
     rows = []
     saw_csv_header = False
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(path, "rb") as fh:
         for lineno, raw in enumerate(fh, start=1):
-            line = raw.rstrip("\n")
+            try:
+                line = raw.decode("utf-8").rstrip("\r\n")
+            except UnicodeDecodeError as exc:
+                raise ResultsParseError(f"{path}: line {lineno}: not UTF-8 ({exc})") from None
             if not line:
                 continue
             if line.startswith("#"):
@@ -544,19 +565,8 @@ def read_results(path) -> SweepResult:
             except (KeyError, ValueError):
                 raise ResultsParseError(f"header {key!r}: bad value {value!r}") from None
 
-        flag = {"true": True, "false": False}.__getitem__
-
-        spec = SweepSpec(
-            config=config,
-            snr_db_points=parse("snr_db_points", lambda v: tuple(map(float, v.split(",")))),
-            min_bit_errors=parse("min_bit_errors", int),
-            max_ofdm_blocks=parse("max_ofdm_blocks", int),
-            decoder_mode=headers["decoder_mode"],
-            scenario_label=headers["scenario"],
-            scheme=headers["scheme"],
-            noiseless=parse("noiseless", flag),
-            independent_streams=parse("independent_streams", flag),
-        )
+        spec = SweepSpec(config=config, **{name: parse(key, read)
+                                           for key, name, _, read in _SPEC_HEADERS})
         version = headers["code_version"]
         seed = parse("master_seed", int)
     except KeyError as exc:

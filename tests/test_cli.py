@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import re
+from pathlib import Path
 
 import numpy as np
 import numpy.testing as npt
@@ -48,6 +49,25 @@ def test_encode_rejects_garbage_bits(tmp_path, small_config):
         ["encode", "--config", cfg_path, "--bits", str(tmp_path / "bits.txt"), "--out", str(tmp_path / "o")],
     )
     assert result.exit_code == 2
+
+
+@pytest.mark.parametrize("kind, message", [("config", "not valid JSON"),
+                                           ("bits", "expected only 0/1 characters"),
+                                           ("results", "line 2: not UTF-8")])
+def test_cli_names_a_file_that_is_not_utf8(tmp_path, small_config, kind, message):
+    # A 0xff byte used to exit with only "'utf-8' codec can't decode byte 0xff
+    # ...", naming neither the file nor the line.
+    files = {"config": Path(_write_config(tmp_path, small_config)), "bits": tmp_path / "bits.txt",
+             "results": _make_results(tmp_path, small_config, "proposed", "a.csv")}
+    files["bits"].write_text("0110 1001\n")
+    bad = files[kind]
+    bad.write_bytes(bad.read_bytes().replace(b"qosf" if kind == "results" else b"1", b"\xff", 1))
+    args = (["report", str(bad), "--plot-out", str(tmp_path / "p.tsv")] if kind == "results" else
+            ["encode", "--config", str(files["config"]), "--bits", str(files["bits"]),
+             "--out", str(tmp_path / "o")])
+    result = CliRunner().invoke(main, args)
+    assert result.exit_code == 2, result.output
+    assert f"{bad}: {message}" in result.output
 
 
 def test_encode_rejects_wrong_bit_count(tmp_path, small_config):

@@ -9,7 +9,6 @@ import pytest
 from qosf import config as config_mod
 from qosf.config import (
     ConfigError,
-    SubcarrierMultipleError,
     SystemConfig,
     config_from_dict,
     config_to_dict,
@@ -48,7 +47,7 @@ def test_single_profile_broadcasts_to_all_states():
 
 
 def test_rejects_non_multiple_subcarriers():
-    with pytest.raises(SubcarrierMultipleError):
+    with pytest.raises(ConfigError, match="must be a multiple of code_paths"):
         SystemConfig(num_subcarriers=126)
 
 
@@ -189,7 +188,7 @@ def test_code_depth_sets_layout_channel_keeps_taps():
     assert (cfg.pl, cfg.group_span, cfg.num_groups, cfg.symbols_per_group) == (1, 2, 64, 2)
     with pytest.raises(ConfigError, match="rotation angles"):
         dataclasses.replace(cfg, rotation_angles=(0.0,))
-    with pytest.raises(SubcarrierMultipleError, match="code_paths"):
+    with pytest.raises(ConfigError, match="must be a multiple of code_paths"):
         dataclasses.replace(cfg, num_subcarriers=127)
 
 

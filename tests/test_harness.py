@@ -154,6 +154,13 @@ def test_spec_takes_any_sequence_of_real_snr_points(small_config):
         assert all(type(s) is float for s in spec.snr_db_points)
 
 
+def test_spec_bounds_max_ofdm_blocks(small_config):
+    # seed_words takes block indices below 2**32.
+    assert SweepSpec(config=small_config, max_ofdm_blocks=2**32).max_ofdm_blocks == 2**32
+    with pytest.raises(InvalidSpecError, match=r"^max_ofdm_blocks must be at most 2\*\*32$"):
+        SweepSpec(config=small_config, max_ofdm_blocks=2**32 + 1)
+
+
 def test_spec_takes_numpy_integers_as_int(small_config):
     spec = SweepSpec(config=small_config, min_bit_errors=np.int64(7), max_ofdm_blocks=np.int32(9))
     assert type(spec.min_bit_errors) is int and type(spec.max_ofdm_blocks) is int
@@ -168,6 +175,16 @@ def test_build_scheme_dispatch(small_config):
     assert isinstance(scheme, QosfScheme)
     assert scheme.config.code_paths == 1 and scheme.config.num_paths == 2
     assert scheme.bits_per_block == small_config.num_subcarriers
+
+
+@pytest.mark.parametrize("bits, errors, field", [
+    # 256.0 bits were written as "256.0", which read_results then refused.
+    (256.0, 3, "bits_simulated"), ("256", 3, "bits_simulated"),
+    (256, 3.0, "bit_errors"), (256, True, "bit_errors"),
+])
+def test_ber_point_needs_integer_counts(bits, errors, field):
+    with pytest.raises(ValueError, match=f"^{field} must be an integer, got "):
+        BerPoint(0.0, bits, errors)
 
 
 def test_ber_point_validation():
@@ -200,13 +217,13 @@ def test_block_rng_scenario_key_changes_draws():
     assert not np.array_equal(shared, keyed)
 
 
-@pytest.mark.parametrize("seed", [0, 1, 2**32 - 1, 2**32, 2**64 - 1, 2**130 + 5])
-@pytest.mark.parametrize("key", [None, zlib.crc32(b"proposed")])
+@pytest.mark.parametrize("seed", [0, 1, 2**32 - 1, 2**32, 2**64 - 1])
+@pytest.mark.parametrize("key", [None, zlib.crc32(b"proposed"), 2**32 - 1])
 def test_seed_tree_matches_seed_sequence(seed, key):
-    # Block 2**32 is the first whose index SeedSequence splits into two words;
-    # the last window straddles it.
-    windows = (range(0, 2), range(255, 257), range(2**32 - 1, 2**32 + 1))
-    for snr_index in (0, 1, 10):
+    # The tree's edges: seed 2**64 - 1, and key, snr_index and block 2**32 - 1,
+    # the last that SeedSequence takes as one 32-bit word.
+    windows = (range(0, 2), range(255, 257), range(2**32 - 2, 2**32))
+    for snr_index in (0, 1, 10, 2**32 - 1):
         for blocks in windows:
             words = harness.seed_words(seed, snr_index, blocks, key)
             assert words.shape == (len(blocks), 3, 4) and words.flags.c_contiguous
@@ -216,6 +233,16 @@ def test_seed_tree_matches_seed_sequence(seed, key):
                     assert harness._bit_generators()(row[stream]).state == want
                     got = block_rng(seed, snr_index, block, stream, key).bit_generator.state
                     assert got == want, (snr_index, block, stream)
+
+
+@pytest.mark.parametrize("seed, snr_index, blocks, key", [
+    (2**64, 0, range(0, 1), None), (-1, 0, range(0, 1), None), (0, 2**32, range(0, 1), None),
+    (0, -1, range(0, 1), None), (0, 0, range(0, 1), 2**32),
+    (0, 0, range(2**32 - 1, 2**32 + 1), None), (0, 0, range(-1, 1), None),
+])
+def test_seed_words_refuses_nodes_outside_its_range(seed, snr_index, blocks, key):
+    with pytest.raises(ValueError, match=re.escape(f"seed tree node ({seed}, ")):
+        harness.seed_words(seed, snr_index, blocks, key)
 
 
 @pytest.mark.parametrize("seed", [0, 2**32 - 1, 2**63 + 5])
@@ -290,6 +317,28 @@ def test_run_point_label_does_not_change_shared_streams(small_config):
         1,
     )
     assert c != b
+
+
+@pytest.mark.parametrize("snr_db, message", [
+    # NaN and inf ran all five blocks on NaN metrics; 1e6 dB raised OverflowError.
+    (float("nan"), "snr_db nan dB is not finite"),
+    (float("inf"), "snr_db inf dB is not finite"),
+    (1e6, "snr_db 1000000.0 dB is outside [-1000, 1000] dB"),
+    ("6", "snr_db must be a number, got '6'"),
+])
+def test_run_point_checks_snr_db(small_config, snr_db, message):
+    spec = _tiny_spec(small_config, snr_db_points=(6.0,), max_ofdm_blocks=5)
+    with pytest.raises(InvalidSpecError, match=f"^{re.escape(message)}$"):
+        run_point(spec, snr_db, 0)
+
+
+@pytest.mark.parametrize("snr_index", [True, -1, 2.5, "0"])
+def test_run_point_checks_snr_index(small_config, snr_index):
+    # True ran as index 1; -1 and 2.5 failed inside SeedSequence.
+    spec = _tiny_spec(small_config, snr_db_points=(6.0,), max_ofdm_blocks=5)
+    message = f"snr_index must be a non-negative integer, got {snr_index!r}"
+    with pytest.raises(InvalidSpecError, match=f"^{re.escape(message)}$"):
+        run_point(spec, 6.0, snr_index)
 
 
 def test_run_sweep_matches_run_point(small_config):
@@ -612,6 +661,15 @@ def test_diversity_order_rejects_window_below_two(window):
     # drop the lowest-SNR one.
     points = _synthetic([(0, 1e-1), (10, 1e-2), (12, 1e-3), (14, 1e-4)])
     with pytest.raises(ValueError, match=f"window {window} is too small"):
+        estimate_diversity_order(points, window=window)
+
+
+@pytest.mark.parametrize("window", [2.5, 3.0, "3", True])
+def test_diversity_order_needs_an_integer_window(window):
+    # 2.5 and "3" raised TypeError from a slice and a comparison; True ran as 1.
+    points = _synthetic([(0, 1e-1), (10, 1e-2), (12, 1e-3), (14, 1e-4)])
+    message = f"window must be an integer, got {window!r}"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         estimate_diversity_order(points, window=window)
 
 

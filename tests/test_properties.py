@@ -11,7 +11,10 @@ from qosf import SystemConfig
 from qosf.codec import build_theta
 from oracles import demodulate
 from qosf.core import BPSK, QPSK, hadamard, modulate
-from qosf.harness import BerPoint, SweepResult, SweepSpec, format_results, read_results
+from qosf.decoder import DECOUPLED, EXHAUSTIVE
+from qosf.harness import (SCHEME_ALAMOUTI, SCHEME_QOSF, BerPoint, SweepResult, SweepSpec,
+                          format_results, read_results)
+from qosf.schemes import alamouti_variant
 
 
 @given(st.lists(st.integers(0, 1), min_size=2, max_size=80).filter(lambda b: len(b) % 2 == 0))
@@ -47,24 +50,32 @@ def _sweep_results(draw):
     snrs = sorted(snrs)
     max_blocks = draw(st.integers(1, 10**6))
     min_errors = draw(st.integers(1, 10**6))
-    # The reader accepts only rows a run could write: whole blocks of the
-    # default config's 256 bits, at most max_ofdm_blocks of them, fewer only
-    # once the errors reach min_bit_errors, and errors short of that plus a
-    # whole block, where the point stops.
-    points = []
-    for s in snrs:
-        blocks = draw(st.integers(1, max_blocks))
-        errors = draw(st.integers(0, min(256 * blocks, min_errors - 1 + 256)))
-        if errors < min_errors:
-            blocks = max_blocks
-        points.append(BerPoint(s, 256 * blocks, errors))
+    config = SystemConfig(master_seed=draw(st.integers(0, 2**32)))
+    # alamouti-sf takes only its one-state, depth-one code and the exhaustive decoder.
+    alamouti = draw(st.booleans())
     spec = SweepSpec(
-        config=SystemConfig(master_seed=draw(st.integers(0, 2**32))),
+        config=alamouti_variant(config) if alamouti else config,
         snr_db_points=tuple(snrs),
         min_bit_errors=min_errors,
         max_ofdm_blocks=max_blocks,
+        decoder_mode=EXHAUSTIVE if alamouti else draw(st.sampled_from([EXHAUSTIVE, DECOUPLED])),
         scenario_label=draw(st.sampled_from(["proposed", "qosf-p1", "a b c"])),
+        scheme=SCHEME_ALAMOUTI if alamouti else SCHEME_QOSF,
+        noiseless=draw(st.booleans()),
+        independent_streams=draw(st.booleans()),
     )
+    # The reader accepts only rows a run could write: whole blocks of the
+    # code's bits (one per BPSK symbol), at most max_ofdm_blocks of them,
+    # fewer only once the errors reach min_bit_errors, and errors short of
+    # that plus a whole block, where the point stops.
+    per_block = spec.config.num_groups * spec.config.symbols_per_group
+    points = []
+    for s in snrs:
+        blocks = draw(st.integers(1, max_blocks))
+        errors = draw(st.integers(0, min(per_block * blocks, min_errors - 1 + per_block)))
+        if errors < min_errors:
+            blocks = max_blocks
+        points.append(BerPoint(s, per_block * blocks, errors))
     return SweepResult(
         spec=spec,
         points=points,
