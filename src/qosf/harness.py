@@ -228,8 +228,8 @@ def seed_words(master_seed: int, snr_index: int, blocks: range,
     snr_index, blocks[b], s)).generate_state(4, np.uint64), key left out if None.
     The seed is below 2**64 and each spawn-key entry below 2**32: one word each."""
     spawn = (snr_index,) if scenario_key is None else (scenario_key, snr_index)
-    if not (0 <= master_seed < 1 << 64
-            and all(0 <= v < 1 << 32 for v in (*spawn, blocks.start, blocks.stop - 1))):
+    if not (0 <= master_seed < 1 << 64 and all(0 <= v < 1 << 32 for v in spawn)
+            and 0 <= blocks.start and blocks.stop <= 1 << 32):
         raise ValueError(f"seed tree node ({master_seed}, {spawn}, blocks {blocks.start}.."
                          f"{blocks.stop - 1}) is outside seed < 2**64, entries < 2**32")
     pool = np.random.SeedSequence(master_seed, spawn_key=spawn).pool

@@ -222,7 +222,7 @@ def test_block_rng_scenario_key_changes_draws():
 def test_seed_tree_matches_seed_sequence(seed, key):
     # The tree's edges: seed 2**64 - 1, and key, snr_index and block 2**32 - 1,
     # the last that SeedSequence takes as one 32-bit word.
-    windows = (range(0, 2), range(255, 257), range(2**32 - 2, 2**32))
+    windows = (range(0, 0), range(0, 2), range(255, 257), range(2**32 - 2, 2**32))
     for snr_index in (0, 1, 10, 2**32 - 1):
         for blocks in windows:
             words = harness.seed_words(seed, snr_index, blocks, key)
