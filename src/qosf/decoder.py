@@ -42,12 +42,13 @@ DEFAULT_SEARCH_CAP = 2 ** 20
 # the search for P=2 BPSK exhaustive (256 candidates), and 0.63-0.71 against
 # 3.2-3.5 ms for P=2 QPSK decoupled (two passes of 256).  One P=2 QPSK
 # exhaustive block (65,536) took 6.5 ms with the product, 1.9-2.1 with the
-# search; a harness chunk holds 16 such blocks, searched in slices of groups.
+# search; a harness chunk holds 32 such blocks, searched in slices of blocks.
 _PRODUCT_CANDIDATES = 256
 
 # The sphere search expands its tree in pieces of at most _PIECE_NODES nodes,
-# deepest first, and decode runs it in slices of at most _SEARCH_GROUPS groups
-# (3 one-antenna blocks), so a call's working set does not grow with its batch.
+# deepest first, and decode runs it in slices of whole blocks, _SEARCH_GROUPS
+# groups (3 blocks) or one block, scaling each slice's windows on its own, so a
+# call's working set does not grow with its batch.
 # tracemalloc read a P=2 QPSK exhaustive call of 1, 3 and 6 blocks at 1.9, 2.6
 # and 2.6 MiB on a zero channel (every candidate ties), and 0.4-0.7, 1.2 and
 # 1.4 MiB at 6 dB; pieces of 1,024 in one slice read 2.9, 4.2 and 5.1, and 0.9,
@@ -63,14 +64,14 @@ _LEVEL_COORDINATES = 4
 
 # A product pass evaluates its [rows, K] metric in slices of at most this
 # many bytes, but never fewer rows than one block's groups, so a call holds
-# one block's metric or this, whatever its batch.  On a 2-vCPU host, P=2 BPSK
-# sweeps with 256 KiB slices (four blocks) ran at the same wall time but 1.8x
-# the CPU per block, spent in OpenBLAS's second thread.  Each slice also forms
-# its own product with left, so no product grows with the batch: a 32-block
-# P=2 BPSK call with one [1024, 64] @ [64, 19] product took 59 us of CPU per
-# block at 30 us wall, and 25 us of both sliced; 8-16 blocks decoded 15-17%
-# faster sliced.
-_METRIC_BYTES = 1 << 16
+# one block's metric or this, whatever its batch: 128 rows, four blocks, of P=2
+# BPSK exhaustive.  On one OpenBLAS thread of a 2-vCPU host, its second product
+# [rows, 19] @ [19, 256] took 12 us at 32 rows, 25-28 us at 128 and 37-46 us at
+# 192; at 256 rows OpenBLAS took a second thread (349 us wall, 691 us CPU), so
+# no shipped pass's slice product may pass 192 rows' 933,888 multiply-adds.
+# Each slice forms its own product with left too, so no product grows with
+# the batch.
+_METRIC_BYTES = 1 << 18
 
 EXHAUSTIVE = "exhaustive"
 DECOUPLED = "decoupled"
@@ -140,19 +141,22 @@ def _coefficients(h, y):
     The diagonal and the matched filter add the antennas one by one, in
     order, as .sum over that middle axis would, at a quarter of its cost on
     two antennas.  G01's sum runs over the last axis, where numpy adds four
-    or more complex terms pairwise.
+    or more complex terms pairwise.  The power is freed before G01 is formed,
+    and the matched filter's -2 is applied as it is written to the rows.
     """
     coeffs = np.empty(h.shape[:3] + (8,))
-    power = h.real ** 2 + h.imag ** 2
-    matched = np.conj(h) * y[..., None]
+    power = np.square(h.real)
+    power += np.square(h.imag)
     for r in range(1, h.shape[-2]):
         power[..., 0, :] += power[..., r, :]
-        matched[..., 0, :] += matched[..., r, :]
     coeffs[..., 0:2] = power[..., 0, :]
+    del power
     coeffs[..., 2:4] = (np.conj(h[..., 0]) * h[..., 1]).sum(-1)[..., None].view(float)
-    matched = matched[..., 0, :]
-    np.multiply(matched.real, -2.0, out=coeffs[..., 4::2])
-    np.multiply(matched.imag, -2.0, out=coeffs[..., 5::2])
+    matched = np.conj(h)
+    matched *= y[..., None]
+    for r in range(1, h.shape[-2]):
+        matched[..., 0, :] += matched[..., r, :]
+    np.multiply(matched[..., 0, :].view(float), -2.0, out=coeffs[..., 4:])
     return coeffs.reshape(h.shape[0], -1)
 
 
@@ -300,6 +304,13 @@ def _children(level, keep, group, code, resid):
     return group, (code[parent] << (hi - lo)) | choice, resid
 
 
+def _model(windows, scale, blocks):
+    """Scaled responses h [G, P, span, Mr, Mt], in C order so that no reshape
+    copies them, and observations y [G, P, span, Mr] of the blocks' groups."""
+    h = np.multiply(scale, windows[0][blocks], order="C")
+    return h.reshape((-1,) + h.shape[2:]), windows[1][blocks].reshape((-1,) + h.shape[2:-1])
+
+
 def candidates_per_pass(config: SystemConfig, mode: str) -> int:
     """Candidates one search pass of the given mode scores per group: K."""
     if mode not in _STEPS:
@@ -327,28 +338,27 @@ def decode(received: ReceivedBlock, grid: ChannelFrequencyGrid, config: SystemCo
             f"{mode} search needs {size} candidates per pass, cap is {DEFAULT_SEARCH_CAP}")
     lead = received.samples.shape[:-3]
     response = grid.response.reshape((-1,) + grid.response.shape[-4:])
-    h = np.multiply(np.sqrt(received.snr_linear / NUM_TX), group_windows(response, config),
-                    order="C")
-    h = h.reshape((-1,) + h.shape[2:])  # [G, P, span, Mr, Mt] over every block's groups, a view
     samples = received.samples.reshape((-1,) + received.samples.shape[-3:])
-    y = group_windows(samples, config).reshape(h.shape[:-1])
+    windows = (group_windows(response, config), group_windows(samples, config))
+    scale = np.sqrt(received.snr_linear / NUM_TX)
     code = (config.constellation, config.rotation_angles, config.num_states, config.code_paths)
-    step = _STEPS[mode]
-    index = np.empty((h.shape[0], step), dtype=np.int64)
+    step, g = _STEPS[mode], config.num_groups
+    index = np.empty((response.shape[0] * g, step), dtype=np.int64)
     product = size <= _PRODUCT_CANDIDATES
-    coeffs = _coefficients(h, y) if product else None
-    rows = max(config.num_groups, _METRIC_BYTES // (8 * size)) if product else _SEARCH_GROUPS
+    coeffs = _coefficients(*_model(windows, scale, slice(None))) if product else None
+    rows = max(g, _METRIC_BYTES // (8 * size)) if product else max(1, _SEARCH_GROUPS // g) * g
     for offset in range(step):
         if product:
             left, right = _candidates(*code, step, offset)
         else:
             basis = _basis(*code, step, offset)
-        for start in range(0, h.shape[0], rows):
+        for start in range(0, index.shape[0], rows):
             part = slice(start, start + rows)
             if product:  # argmin keeps the first minimum, the smallest tuple
                 index[part, offset] = np.argmin((coeffs[part] @ left) @ right, axis=1)
             else:
-                index[part, offset] = _sphere_search(*_sphere_model(h[part], y[part], basis))
+                model = _model(windows, scale, slice(start // g, (start + rows) // g))
+                index[part, offset] = _sphere_search(*_sphere_model(*model, basis))
     # Both searches number a pass's candidates by their +-1 basis signs, which
     # spell the Gray labels, first position most significant: bit b of the
     # point at group position offset + step*j is bit n-1 - (width*j + b) of the

@@ -54,13 +54,13 @@ _WINDOW_BLOCKS = 256
 # Byte budget of the arrays one chunk of blocks holds at once, beside what a
 # decode call holds once whatever its batch: the product path's metric slice
 # or the sphere search's frontier.  It sets how much a sweep's peak resident
-# set grows, heap fragmentation included.  On a 2-vCPU host, alternating
-# curve-p2 rounds (default P=2 BPSK code, 0-10 dB, 200-error stop) ran 16-block
-# chunks 1.05x faster than 8 with the heap kept (_keep_heap), and 32 blocks a
-# further 1.06x at +1.1 MiB of peak; without the heap settings, 16-block
-# chunks took 11.6 minor faults per block and ran 1.28x slower.  Stop-rule
-# P=2 QPSK exhaustive rounds ran 16-block chunks 1.035x faster than 8.
-_CHUNK_BYTES = 1024 * 1024
+# set grows, heap fragmentation included.  On a 2-vCPU host a P=2 BPSK chunk
+# cost about 120 us plus 55 us per block, and alternating curve-p2 rounds
+# (default code, 0-10 dB, 200-error stop) ran 32-block chunks 1.045x faster
+# than 16 and 64-block ones 0.99x as fast as 32 (1.8 and 3.4 MiB chunk peaks).
+# Without the heap settings (_keep_heap), 16-block chunks took 11.6 minor
+# faults per block and ran 1.28x slower.
+_CHUNK_BYTES = 2 * 1024 * 1024
 
 DEFAULT_SNR_DB = tuple(float(s) for s in range(0, 21, 2))
 # Largest |SNR| in dB a point may ask for.  10**(SNR/10) must stay a normal
@@ -80,13 +80,17 @@ class ResultsParseError(ValueError):
     """Results file is malformed; message names the offending line."""
 
 
-def _check_snr_db(snr_db: float, name: str) -> None:
-    """Refuse an SNR that is not finite or is past MAX_ABS_SNR_DB, naming the input."""
+def _check_snr_db(snr_db, name: str) -> float:
+    """snr_db as a float; refuse one that is not a real number, is not finite or
+    is past MAX_ABS_SNR_DB, naming the input."""
+    if not is_real(snr_db):
+        raise InvalidSpecError(f"{name} must be a number, got {snr_db!r}")
     if not np.isfinite(snr_db):
         raise InvalidSpecError(f"{name} {snr_db!r} dB is not finite")
     if abs(snr_db) > MAX_ABS_SNR_DB:
         raise InvalidSpecError(f"{name} {snr_db!r} dB is outside [-{MAX_ABS_SNR_DB:g}, "
                                f"{MAX_ABS_SNR_DB:g}] dB")
+    return float(snr_db)
 
 
 @dataclass(frozen=True)
@@ -175,7 +179,7 @@ class BerPoint:
     bit_errors: int
 
     def __post_init__(self):
-        self.snr_db = float(self.snr_db)
+        self.snr_db = _check_snr_db(self.snr_db, "snr_db")
         for name in ("bits_simulated", "bit_errors"):
             if not is_integer(getattr(self, name)):
                 raise ValueError(f"{name} must be an integer, got {getattr(self, name)!r}")
@@ -198,6 +202,50 @@ class SweepResult:
     points: list
     code_version: str
     wall_time_s: float = field(default=0.0, compare=False)
+
+    def __post_init__(self):
+        _check_points(self.spec, self.points)
+
+
+def _check_points(spec: SweepSpec, points, names=None, bers=None) -> None:
+    """Refuse points that a run of spec could not have made, by the rules its
+    results file is read back with: one BerPoint per grid SNR, in order, each a
+    whole number of blocks, at most max_ofdm_blocks of them, and stopped where
+    the stop rule stops.  names[i] (default "point i") starts each message about
+    points[i], and bers[i], if given, is the ber it was read with."""
+    if not all(isinstance(p, BerPoint) for p in points):
+        raise InvalidSpecError(f"points must be BerPoints, got {points!r}")
+    if spec.snr_db_points != tuple(p.snr_db for p in points):
+        raise InvalidSpecError(
+            f"header 'snr_db_points': {','.join(map(repr, spec.snr_db_points))} disagrees "
+            "with the SNRs of the data rows")
+    per_block = build_scheme(spec).bits_per_block
+    for i, point in enumerate(points):
+        where = names[i] if names else f"point {i}"
+        blocks, rest = divmod(point.bits_simulated, per_block)
+        if rest:
+            raise InvalidSpecError(
+                f"{where}: {point.bits_simulated} bits is not a whole number of "
+                f"{per_block}-bit blocks"
+            )
+        if blocks > spec.max_ofdm_blocks:
+            raise InvalidSpecError(
+                f"{where}: {blocks} blocks exceed the max_ofdm_blocks header's "
+                f"{spec.max_ofdm_blocks}"
+            )
+        if bers and bers[i] != float(f"{point.ber:.5e}"):
+            raise InvalidSpecError(
+                f"{where}: ber {bers[i]!r} is not errors/bits = {point.ber:.5e}")
+        if point.bit_errors >= spec.min_bit_errors + per_block:  # past the stop's last block
+            raise InvalidSpecError(
+                f"{where}: {point.bit_errors} errors reach the min_bit_errors header's "
+                f"{spec.min_bit_errors} plus a whole {per_block}-bit block")
+        if point.bit_errors < spec.min_bit_errors and blocks < spec.max_ofdm_blocks:
+            raise InvalidSpecError(
+                f"{where}: {point.bit_errors} errors in {blocks} blocks stop short of "
+                f"both the min_bit_errors header's {spec.min_bit_errors} and the "
+                f"max_ofdm_blocks header's {spec.max_ofdm_blocks}"
+            )
 
 
 # Each named scenario: the config variant it sweeps and the scheme label it
@@ -282,8 +330,8 @@ def _scenario_key(spec: SweepSpec) -> int | None:
 
 def _chunk_cap(spec: SweepSpec) -> int:
     """Most blocks one chunk may hold within _CHUNK_BYTES at a block's
-    block_bytes: 16 for the default P=2 code on 128 tones, in BPSK or QPSK,
-    and 32 for P=1.  What a decode call holds once is not charged."""
+    block_bytes: 32 for the default P=2 code on 128 tones, in BPSK or QPSK,
+    and 64 for P=1.  What a decode call holds once is not charged."""
     return max(1, _CHUNK_BYTES // spec.config.block_bytes)
 
 
@@ -352,8 +400,6 @@ def run_point(spec: SweepSpec, snr_db: float, snr_index: int) -> BerPoint:
     running error count reaches min_bit_errors, as if the blocks had run one
     at a time.
     """
-    if not is_real(snr_db):
-        raise InvalidSpecError(f"snr_db must be a number, got {snr_db!r}")
     _check_snr_db(snr_db, "snr_db")
     if not is_integer(snr_index) or snr_index < 0:
         raise InvalidSpecError(f"snr_index must be a non-negative integer, got {snr_index!r}")
@@ -448,8 +494,8 @@ def snr_at_ber(points, target: float) -> float:
     Linear interpolation in (snr_db, log10 ber) between the first adjacent
     pair of nonzero-BER points bracketing the target.
     """
-    if target <= 0:
-        raise ValueError("target BER must be positive")
+    if not is_real(target) or not 0 < target <= 1:
+        raise ValueError(f"target must be a BER in (0, 1], got {target!r}")
     usable = [p for p in points if p.ber > 0]
     log_t = np.log10(target)
     for a, b in zip(usable, usable[1:]):
@@ -576,38 +622,10 @@ def read_results(path) -> SweepResult:
             f"header 'master_seed': {seed} disagrees with the config header's {config.master_seed}"
         )
     points = [point for _, point, _ in rows]
-    if spec.snr_db_points != tuple(p.snr_db for p in points):
-        raise ResultsParseError(
-            f"header 'snr_db_points': {headers['snr_db_points']} disagrees with the SNRs "
-            "of the data rows"
-        )
-    per_block = build_scheme(spec).bits_per_block
-    for lineno, point, ber in rows:
-        blocks, rest = divmod(point.bits_simulated, per_block)
-        if rest:
-            raise ResultsParseError(
-                f"line {lineno}: {point.bits_simulated} bits is not a whole number of "
-                f"{per_block}-bit blocks"
-            )
-        if blocks > spec.max_ofdm_blocks:
-            raise ResultsParseError(
-                f"line {lineno}: {blocks} blocks exceed the max_ofdm_blocks header's "
-                f"{spec.max_ofdm_blocks}"
-            )
-        if ber != float(f"{point.ber:.5e}"):
-            raise ResultsParseError(
-                f"line {lineno}: ber {ber!r} is not errors/bits = {point.ber:.5e}"
-            )
-        if point.bit_errors >= spec.min_bit_errors + per_block:  # past the stop's last block
-            raise ResultsParseError(
-                f"line {lineno}: {point.bit_errors} errors reach the min_bit_errors header's "
-                f"{spec.min_bit_errors} plus a whole {per_block}-bit block")
-        if point.bit_errors < spec.min_bit_errors and blocks < spec.max_ofdm_blocks:
-            raise ResultsParseError(
-                f"line {lineno}: {point.bit_errors} errors in {blocks} blocks stop short of "
-                f"both the min_bit_errors header's {spec.min_bit_errors} and the "
-                f"max_ofdm_blocks header's {spec.max_ofdm_blocks}"
-            )
+    try:
+        _check_points(spec, points, [f"line {n}" for n, _, _ in rows], [ber for _, _, ber in rows])
+    except InvalidSpecError as exc:
+        raise ResultsParseError(str(exc)) from None
     return SweepResult(spec=spec, points=points, code_version=version)
 
 

@@ -483,6 +483,9 @@ def test_report_rejects_duplicate_labels(tmp_path, small_config):
         (lambda text: _replace_last_row(text, "4.0,0,0,0.00000e+00"), "line 15"),
         (lambda text: _replace_last_row(text, "4.0,320,-1,0.00000e+00"), "line 15"),
         (lambda text: _replace_last_row(text, "4.0,320,375,1.17188e+00"), "line 15"),
+        # An SNR that SweepSpec refuses as a grid point.
+        (lambda text: _replace_last_row(text, "nan,320,3,9.37500e-03"),
+         "line 15: snr_db nan dB is not finite"),
         (lambda text: re.sub("(?m)^# config: .*$", "# config: [1, 2]", text), "config header"),
         (lambda text: re.sub("(?m)^# config: .*$", '# config: {"num_paths": 2', text),
          "config header"),
@@ -533,7 +536,7 @@ def test_report_rejects_duplicate_labels(tmp_path, small_config):
         (lambda text: text.replace("# scheme: ", "# scheme "), "line 2: expected '# key: value'"),
         (lambda text: text[:text.index("snr_db,bits")], "truncated file, no column header"),
     ],
-    ids=["column-header", "zero-bits", "negative-errors", "errors-over-bits",
+    ids=["column-header", "zero-bits", "negative-errors", "errors-over-bits", "snr-not-finite",
          "config-not-object", "config-not-json", "seed-not-int", "snr-not-float",
          "noiseless-not-bool", "independent-not-bool", "seed-not-config", "snr-not-rows",
          "bits-not-blocks", "blocks-over-cap", "ber-not-counts",

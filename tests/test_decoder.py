@@ -21,7 +21,8 @@ from qosf import SystemConfig
 from qosf.config import TONE_BYTES
 from qosf import decoder
 from qosf.decoder import DECOUPLED, EXHAUSTIVE, candidates_per_pass, decode
-from qosf.harness import SCENARIOS, SweepSpec, _chunk_cap
+from qosf import harness
+from qosf.harness import SCENARIOS, SweepSpec, _chunk_cap, scenario_spec
 from qosf.schemes import alamouti_variant, p1_variant
 
 
@@ -386,6 +387,43 @@ def test_sphere_search_memory_is_bounded():
     assert decoder._candidates.cache_info().currsize == 0
 
 
+# Largest metric product, in multiply-adds, timed on one OpenBLAS thread on a
+# 2-vCPU host: [192, 19] @ [19, 256], P=2 BPSK exhaustive's second product on
+# a 192-row slice, at 37-46 us.  At 256 rows (1,245,184 multiply-adds)
+# OpenBLAS took a second thread: 349 us wall and 691 us CPU per product.
+_ONE_THREAD_MULADDS = 192 * 19 * 256
+
+
+@pytest.mark.parametrize("scenario,constellation,mode,num_rx", [
+    (scenario, constellation, mode, num_rx)
+    for scenario in SCENARIOS for constellation in (BPSK, QPSK)
+    for mode in (EXHAUSTIVE, DECOUPLED) for num_rx in (1, 2)
+    if scenario != "alamouti-sf" or mode == EXHAUSTIVE])
+def test_metric_products_stay_on_one_blas_thread(monkeypatch, scenario, constellation, mode,
+                                                 num_rx):
+    # Both products of every metric slice of a whole-chunk decode, in every
+    # product pass a shipped scenario reaches, stay within the largest size
+    # measured on one thread, whatever _METRIC_BYTES and the chunk budget say.
+    products = []
+
+    class Counted(np.ndarray):  # a factor that records each product it enters
+        def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
+            a, b = (np.asarray(x) for x in inputs)
+            products.append(a.shape[-2] * a.shape[-1] * b.shape[-1])
+            return ufunc(a, b, **kwargs)
+
+    candidates = decoder._candidates
+    monkeypatch.setattr(decoder, "_candidates",
+                        lambda *code: tuple(f.view(Counted) for f in candidates(*code)))
+    config = SystemConfig(constellation=constellation, num_rx=num_rx)
+    spec = scenario_spec(scenario, config, decoder_mode=mode)
+    blocks = range(_chunk_cap(spec))
+    window = (0, harness.seed_words(spec.config.master_seed, 0, blocks))
+    harness._chunk_errors(spec, harness.build_scheme(spec), 10.0, window, blocks)
+    assert products or candidates_per_pass(spec.config, mode) > decoder._PRODUCT_CANDIDATES
+    assert max(products, default=0) <= _ONE_THREAD_MULADDS, sorted(set(products))
+
+
 # Rank of each pass's feature table, exhaustive and both decoupled offsets
 # (None: the pass runs the sphere search): every feature is a polynomial of
 # degree <= 2 in the pass's +-1 signs.
@@ -498,15 +536,16 @@ def test_coefficient_rows_equal_the_axis_sums(num_rx):
 
 
 def test_product_decode_holds_its_metric_once_per_call():
-    # A P=2 BPSK exhaustive call holds one block's metric slice whatever its
-    # batch, so a 16-block chunk peaks at most one block's peak plus the 15
-    # further blocks' TONE_BYTES per tone, state and receive antenna, what
-    # the harness charges them.  An unsliced metric would add 64 KiB a block.
+    # A P=2 BPSK exhaustive call holds one metric slice of at most four
+    # blocks whatever its batch, so a 32-block chunk peaks at most one
+    # block's peak plus the 31 further blocks' TONE_BYTES per tone, state and
+    # receive antenna, what the harness charges them.  An unsliced metric
+    # would add 64 KiB a block.
     cfg = SystemConfig()
     rng = np.random.default_rng(18)
     per_block = TONE_BYTES * cfg.num_states * cfg.num_subcarriers * cfg.num_rx
     cap = _chunk_cap(SweepSpec(config=cfg))
-    assert cap == 16
+    assert cap == 32
     peaks = {}
     for count in (1, cap):
         bits = rng.integers(0, 2, (count, cfg.num_groups * cfg.symbols_per_group))

@@ -162,9 +162,11 @@ def test_spec_bounds_max_ofdm_blocks(small_config):
 
 
 def test_spec_takes_numpy_integers_as_int(small_config):
-    spec = SweepSpec(config=small_config, min_bit_errors=np.int64(7), max_ofdm_blocks=np.int32(9))
+    spec = SweepSpec(config=small_config, snr_db_points=(0.0,), min_bit_errors=np.int64(7),
+                     max_ofdm_blocks=np.int32(9))
     assert type(spec.min_bit_errors) is int and type(spec.max_ofdm_blocks) is int
-    assert "# max_ofdm_blocks: 9\n" in format_results(SweepResult(spec, [], "x"))
+    point = BerPoint(0.0, 9 * build_scheme(spec).bits_per_block, 3)  # the cap ended it
+    assert "# max_ofdm_blocks: 9\n" in format_results(SweepResult(spec, [point], "x"))
 
 
 def test_build_scheme_dispatch(small_config):
@@ -185,6 +187,18 @@ def test_build_scheme_dispatch(small_config):
 def test_ber_point_needs_integer_counts(bits, errors, field):
     with pytest.raises(ValueError, match=f"^{field} must be an integer, got "):
         BerPoint(0.0, bits, errors)
+
+
+@pytest.mark.parametrize("snr_db, message", [
+    # Each was accepted, though SweepSpec refuses it as a grid point.
+    (float("nan"), "snr_db nan dB is not finite"),
+    (float("inf"), "snr_db inf dB is not finite"),
+    ("3", "snr_db must be a number, got '3'"),
+    (True, "snr_db must be a number, got True"),
+])
+def test_ber_point_checks_snr_db(snr_db, message):
+    with pytest.raises(InvalidSpecError, match=f"^{re.escape(message)}$"):
+        BerPoint(snr_db, 100, 1)
 
 
 def test_ber_point_validation():
@@ -452,11 +466,11 @@ def _record_chunks(monkeypatch):
 
 def test_run_point_runs_fixed_budgets_in_whole_chunks(monkeypatch, small_config):
     # A min_bit_errors no budget can reach puts every block past the floor:
-    # a 33-block P=2 QPSK exhaustive point runs as 16 + 16 + 1.  A stop rule
+    # a 65-block P=2 QPSK exhaustive point runs as 32 + 32 + 1.  A stop rule
     # that one block could meet still starts at one block.
     chunks, _ = _record_chunks(monkeypatch)
     fixed = SweepSpec(config=SystemConfig(constellation=QPSK), snr_db_points=(6.0,),
-                      min_bit_errors=10 ** 9, max_ofdm_blocks=33)
+                      min_bit_errors=10 ** 9, max_ofdm_blocks=65)
     cap = harness._chunk_cap(fixed)
     assert run_point(fixed, 6.0, 0) == serial_point(fixed, 6.0, 0)
     assert len(chunks) == -(-fixed.max_ofdm_blocks // cap) == 3
@@ -488,10 +502,10 @@ _BUDGET_RUNS = [("proposed", dict(min_bit_errors=200, max_ofdm_blocks=400)),
                 ("proposed", dict(constellation=QPSK, min_bit_errors=10**9, max_ofdm_blocks=67))]
 
 
-@pytest.mark.parametrize("scale", [1 / 16, 1, 4], ids=["64KiB", "default", "4MiB"])
+@pytest.mark.parametrize("scale", [1 / 32, 1, 2], ids=["64KiB", "default", "4MiB"])
 @pytest.mark.parametrize("scenario,fields", _BUDGET_RUNS, ids=["p2-bpsk", "p1-bpsk", "p2-qpsk"])
 def test_run_point_does_not_depend_on_the_chunk_budget(monkeypatch, scale, scenario, fields):
-    # _CHUNK_BYTES at 64 KiB, 1 MiB or 4 MiB each returns the
+    # _CHUNK_BYTES at 64 KiB, 2 MiB or 4 MiB each returns the
     # one-block-at-a-time point.
     monkeypatch.setattr(harness, "_CHUNK_BYTES", int(harness._CHUNK_BYTES * scale))
     chunks, _ = _record_chunks(monkeypatch)
@@ -553,18 +567,18 @@ def test_chunk_cap_counts_only_blocks():
     # each block and nothing else: what a decode call holds once whatever its
     # batch (the product path's metric slice, the sphere search's frontier)
     # sits beside the budget, whichever search a pass runs.  curve-p2's P=2
-    # BPSK code runs 16 blocks per chunk, as do qpsk-ml's P=2 QPSK exhaustive
-    # code and its decoupled form; two receive antennas halve that to 8.  The
-    # default P=1 scenarios run 32, and a P=1 QPSK code on 512 tones 8.
+    # BPSK code runs 32 blocks per chunk, as do qpsk-ml's P=2 QPSK exhaustive
+    # code and its decoupled form; two receive antennas halve that to 16.  The
+    # default P=1 scenarios run 64, and a P=1 QPSK code on 512 tones 16.
     qpsk = SystemConfig(constellation=QPSK)
-    assert harness._chunk_cap(SweepSpec(config=SystemConfig())) == 16
-    assert harness._chunk_cap(SweepSpec(config=qpsk)) == 16
-    assert harness._chunk_cap(SweepSpec(config=qpsk, decoder_mode=DECOUPLED)) == 16
-    assert harness._chunk_cap(SweepSpec(config=SystemConfig(constellation=QPSK, num_rx=2))) == 8
+    assert harness._chunk_cap(SweepSpec(config=SystemConfig())) == 32
+    assert harness._chunk_cap(SweepSpec(config=qpsk)) == 32
+    assert harness._chunk_cap(SweepSpec(config=qpsk, decoder_mode=DECOUPLED)) == 32
+    assert harness._chunk_cap(SweepSpec(config=SystemConfig(constellation=QPSK, num_rx=2))) == 16
     for scenario in ("qosf-p1", "alamouti-sf"):
-        assert harness._chunk_cap(scenario_spec(scenario, SystemConfig())) == 32
+        assert harness._chunk_cap(scenario_spec(scenario, SystemConfig())) == 64
     wide = SystemConfig(constellation=QPSK, num_subcarriers=512, cp_len=256)
-    assert harness._chunk_cap(scenario_spec("qosf-p1", wide)) == 8
+    assert harness._chunk_cap(scenario_spec("qosf-p1", wide)) == 16
 
 
 def test_default_worker_count_env(monkeypatch):
@@ -699,6 +713,17 @@ def test_snr_at_ber_errors():
         snr_at_ber(points, 0.0)
 
 
+@pytest.mark.parametrize("target", ["1e-3", float("nan"), float("inf"), True, 0.0, -1e-3, 1.5])
+def test_snr_at_ber_checks_its_target(target):
+    # "1e-3" raised a TypeError from a comparison; nan, inf and True ran and
+    # reported that the curve never crosses BER nan, inf or 1.
+    points = _synthetic([(10, 1e-2), (12, 1e-3)])
+    message = re.escape(f"target must be a BER in (0, 1], got {target!r}")
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        snr_at_ber(points, target)
+    assert snr_at_ber(_synthetic([(10, 1.0), (12, 1e-3)]), 1) == 10.0
+
+
 # --- results files -------------------------------------------------------
 
 
@@ -711,6 +736,31 @@ def test_results_round_trip(tmp_path, small_config):
     assert again.spec.config == small_config
     # Re-serializing the parsed result reproduces the file byte for byte.
     assert format_results(again) == path.read_text()
+
+
+def test_sweep_result_takes_only_what_read_results_takes(tmp_path, small_config):
+    # A one-point result on a (0, 2) dB spec was written, and the file was
+    # refused on reading; a result now holds its points to the reader's rules.
+    spec = _tiny_spec(small_config)  # 10 errors or 60 blocks of 16 bits
+    with pytest.raises(InvalidSpecError, match=re.escape(
+            "header 'snr_db_points': 0.0,2.0 disagrees with the SNRs of the data rows")):
+        SweepResult(spec, [BerPoint(0.0, 256, 3)], "x")
+    capped, stopped = BerPoint(0.0, 960, 3), BerPoint(2.0, 64, 10)
+    write_results(SweepResult(spec, [capped, stopped], "x"), tmp_path / "run.csv")
+    assert read_results(tmp_path / "run.csv").points == [capped, stopped]
+    for points, message in [
+        ([capped, BerPoint(2.0, 65, 10)], "point 1: 65 bits is not a whole number of 16-bit blocks"),
+        ([capped, BerPoint(2.0, 976, 10)], "point 1: 61 blocks exceed the max_ofdm_blocks "
+                                           "header's 60"),
+        ([BerPoint(0.0, 320, 3), stopped], "point 0: 3 errors in 20 blocks stop short of both "
+                                           "the min_bit_errors header's 10 and the "
+                                           "max_ofdm_blocks header's 60"),
+        ([capped, BerPoint(2.0, 64, 26)], "point 1: 26 errors reach the min_bit_errors header's "
+                                          "10 plus a whole 16-bit block"),
+        ([capped, (2.0, 64, 10)], "points must be BerPoints, got "),
+    ]:
+        with pytest.raises(InvalidSpecError, match=f"^{re.escape(message)}"):
+            SweepResult(spec, points, "x")
 
 
 def test_results_text_shape(small_config):
