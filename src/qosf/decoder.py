@@ -4,18 +4,18 @@ The code places each group of 2*P*L symbols on a disjoint window of L*Mt
 subcarriers, and the frequency-domain channel acts independently per
 subcarrier, so the ML metric separates over groups.  Decoding runs an
 exhaustive (or decoupled) search over all groups of a batch of blocks at once,
-one pass per searched set of positions, on one model of the call: the scaled
-responses and observations of every group's window.  Every candidate of a
-pass is a +-1 combination of the pass's basis codewords (Viterbo & Boutros,
-IEEE Trans. IT 45(5), 1999), numbered by its signs.  Each pass runs in
-slices of the groups, one loop for both searches.  A pass of at most
-_PRODUCT_CANDIDATES candidates scores them through a cached low-rank factor
-(left, right) of the real feature table of those combinations: per slice,
-one product of its groups' metric coefficients with left, then one with right.
-A larger pass (P=2 QPSK exhaustive: 65,536) runs an exact sphere search over the
-same model instead, with every group of a slice in lockstep, and never builds
-a table of its candidates.  A candidate's index is its points' Gray labels, so
-the bits are read straight off the winning indices.
+one pass per searched set of positions, on one model: the scaled responses and
+observations of each group's window, formed once per call (or per search
+slice).  Every candidate of a pass is a +-1 combination of the pass's basis
+codewords (Viterbo & Boutros, IEEE Trans. IT 45(5), 1999), numbered by its
+signs.  Each pass runs in slices of the groups, one loop for both searches.  A
+pass of at most _PRODUCT_CANDIDATES candidates scores them through a cached
+low-rank factor (left, right) of the real feature table of those combinations:
+per slice, one product of its groups' metric coefficients with left, then one
+with right.  A larger pass (P=2 QPSK exhaustive: 65,536) runs an exact sphere
+search over the same model instead, with every group of a slice in lockstep,
+and never builds a table of its candidates.  A candidate's index is its
+points' Gray labels, so the bits are read straight off the winning indices.
 """
 
 from __future__ import annotations
