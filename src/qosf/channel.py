@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .codec import SfCodeword
-from .config import SystemConfig
+from .config import SystemConfig, is_real
 from .core import complex_normal
 
 
@@ -91,8 +91,10 @@ def apply(
     p, nc, num_rx, num_tx = h.shape[-4:]
     if c.shape != h.shape[:-4] + (p, num_tx, nc):
         raise ValueError(f"codeword shape {c.shape} does not match channel {h.shape}")
-    if snr_linear <= 0:
-        raise ValueError("snr_linear must be positive")
+    if not is_real(snr_linear) or not 0 < snr_linear < np.inf:
+        raise ValueError(f"snr_linear must be a finite number above 0, got {snr_linear!r}")
+    if rng is None and not noiseless:
+        raise ValueError("rng must be the noise generator(s) unless noiseless, got None")
     signal = np.einsum("...pnji,...pin->...pnj", h, c)
     signal *= np.sqrt(snr_linear / num_tx)
     if not noiseless:

@@ -127,7 +127,11 @@ def _format_complex(z: complex) -> str:
 
 
 def write_codeword(codeword: SfCodeword, path) -> None:
-    """One line per (state, antenna) pair, comma-separated "re+imj" entries."""
+    """One line per (state, antenna) pair, comma-separated "re+imj" entries,
+    for one block's [P, 2, Nc] states."""
+    if codeword.states.ndim != 3 or codeword.states.shape[1] != NUM_TX:
+        raise ValueError(f"write_codeword takes one block's [P, {NUM_TX}, Nc] states, "
+                         f"got shape {codeword.states.shape}")
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         for state in codeword.states:
             for row in state:

@@ -76,10 +76,6 @@ class InsufficientDataError(ValueError):
     """Too few usable points for a slope fit."""
 
 
-class ResultsParseError(ValueError):
-    """Results file is malformed; message names the offending line."""
-
-
 def _check_snr_db(snr_db, name: str) -> float:
     """snr_db as a float; refuse one that is not a real number, is not finite or
     is past MAX_ABS_SNR_DB, naming the input."""
@@ -129,12 +125,10 @@ class SweepSpec:
         for s in points:
             if not is_real(s):
                 raise InvalidSpecError(f"snr_db_points entry {s!r} is not a number")
-        points = tuple(float(s) for s in points)
+        points = tuple(_check_snr_db(s, "SNR point") for s in points)
         object.__setattr__(self, "snr_db_points", points)
         if not points:
             raise InvalidSpecError("need at least one SNR point")
-        for s in points:
-            _check_snr_db(s, "SNR point")
         if any(later <= earlier for earlier, later in zip(points, points[1:])):
             raise InvalidSpecError("SNR points must be strictly increasing")
         for name in ("min_bit_errors", "max_ofdm_blocks"):
@@ -269,19 +263,19 @@ def build_scheme(spec: SweepSpec) -> QosfScheme:
     return QosfScheme(spec.config, decoder_mode=spec.decoder_mode)
 
 
-def seed_words(master_seed: int, snr_index: int, blocks: range,
+def seed_words(master_seed: int, snr_index: int, first: int, stop: int,
                scenario_key: int | None = None) -> np.ndarray:
     """[B, 3, 4] uint64 PCG64 seed words of the bits, channel and noise nodes of
-    all blocks at once: row [b, s] is SeedSequence(master_seed, spawn_key=(key,
-    snr_index, blocks[b], s)).generate_state(4, np.uint64), key left out if None.
-    The seed is below 2**64 and each spawn-key entry below 2**32: one word each."""
+    blocks first..stop - 1 at once: row [b, s] is SeedSequence(master_seed, spawn_key=
+    (key, snr_index, first + b, s)).generate_state(4, np.uint64), key left out if
+    None.  The seed is below 2**64 and each spawn-key entry below 2**32: one word each."""
     spawn = (snr_index,) if scenario_key is None else (scenario_key, snr_index)
     if not (0 <= master_seed < 1 << 64 and all(0 <= v < 1 << 32 for v in spawn)
-            and 0 <= blocks.start and blocks.stop <= 1 << 32):
-        raise ValueError(f"seed tree node ({master_seed}, {spawn}, blocks {blocks.start}.."
-                         f"{blocks.stop - 1}) is outside seed < 2**64, entries < 2**32")
+            and is_integer(first) and is_integer(stop) and 0 <= first <= stop <= 1 << 32):
+        raise ValueError(f"seed tree node ({master_seed}, {spawn}, blocks {first}.."
+                         f"{stop - 1}) is outside seed < 2**64, entries < 2**32")
     pool = np.random.SeedSequence(master_seed, spawn_key=spawn).pool
-    words = (np.arange(blocks.start, blocks.stop, dtype=np.uint32)[:, None],
+    words = (np.arange(first, stop, dtype=np.uint32)[:, None],
              np.arange(3, dtype=np.uint32))
     a = np.cumprod([_INIT_A] + [_MULT_A] * 4 * (6 + len(spawn)), dtype=np.uint32)
     b = np.cumprod([_INIT_B] + [_MULT_B] * 8, dtype=np.uint32)
@@ -317,9 +311,10 @@ def _bit_generators():
 def block_rng(master_seed: int, snr_index: int, block_index: int, stream: int,
               scenario_key: int | None = None) -> np.random.Generator:
     """Generator for one (point, block, stream) node of the seed tree."""
-    block = range(block_index, block_index + 1)  # a one-block window
-    words = seed_words(master_seed, snr_index, block, scenario_key)[0, stream]
-    return np.random.Generator(_bit_generators()(words))
+    if not is_integer(stream) or not 0 <= stream <= _STREAM_NOISE:
+        raise ValueError(f"stream must be 0 (bits), 1 (channel) or 2 (noise), got {stream!r}")
+    words = seed_words(master_seed, snr_index, block_index, block_index + 1, scenario_key)
+    return np.random.Generator(_bit_generators()(words[0, stream]))
 
 
 def _scenario_key(spec: SweepSpec) -> int | None:
@@ -362,14 +357,13 @@ def _keep_heap() -> None:
     mallopt(_M_TRIM_THRESHOLD, 64 << 20)
 
 
-def _chunk_errors(spec: SweepSpec, scheme: QosfScheme, snr_linear: float, window: tuple,
-                  blocks: range) -> np.ndarray:
+def _chunk_errors(spec: SweepSpec, scheme: QosfScheme, snr_linear: float,
+                  words: np.ndarray) -> np.ndarray:
     """Bit errors of each block of a chunk, every stage run once on the whole chunk.
 
-    window is (first block, seed_words) of blocks that hold the chunk.  Each block
+    words holds the chunk's rows of seed_words, one per block.  Each block
     draws from its own generators as a lone block would, whatever its chunk.
     """
-    words = window[1][blocks.start - window[0]:blocks.stop - window[0]]
     # Generator.integers(0, 2) is Lemire's bounded method on 32-bit draws, the
     # low half of each PCG64 word first; it never rejects a range of 2 and
     # returns a draw's top bit.  bits_per_block is even: two bits per word.
@@ -409,14 +403,14 @@ def run_point(spec: SweepSpec, snr_db: float, snr_index: int) -> BerPoint:
     cap = min(_chunk_cap(spec), _WINDOW_BLOCKS)
     errors = blocks = 0
     size = 1
-    key, window = _scenario_key(spec), (0, ())  # no seed words yet
+    key, first, words = _scenario_key(spec), 0, ()  # no seed words yet
     while errors < spec.min_bit_errors and blocks < spec.max_ofdm_blocks:
         floor = -(-(spec.min_bit_errors - errors) // scheme.bits_per_block)
         size = min(max(size, floor), cap, spec.max_ofdm_blocks - blocks)
-        if blocks + size > window[0] + len(window[1]):
-            span = range(blocks, min(blocks + _WINDOW_BLOCKS, spec.max_ofdm_blocks))
-            window = (blocks, seed_words(spec.config.master_seed, snr_index, span, key))
-        counts = _chunk_errors(spec, scheme, snr_linear, window, range(blocks, blocks + size))
+        if blocks + size > first + len(words):
+            first, stop = blocks, min(blocks + _WINDOW_BLOCKS, spec.max_ofdm_blocks)
+            words = seed_words(spec.config.master_seed, snr_index, first, stop, key)
+        counts = _chunk_errors(spec, scheme, snr_linear, words[blocks - first:blocks - first + size])
         running = errors + np.cumsum(counts)
         used = min(size, int(np.searchsorted(running, spec.min_bit_errors)) + 1)
         errors, blocks = int(running[used - 1]), blocks + used
@@ -559,44 +553,44 @@ def read_results(path) -> SweepResult:
             try:
                 line = raw.decode("utf-8").rstrip("\r\n")
             except UnicodeDecodeError as exc:
-                raise ResultsParseError(f"{path}: line {lineno}: not UTF-8 ({exc})") from None
+                raise ValueError(f"{path}: line {lineno}: not UTF-8 ({exc})") from None
             if not line:
                 continue
             if line.startswith("#"):
                 if saw_csv_header:
-                    raise ResultsParseError(f"line {lineno}: header after data rows")
+                    raise ValueError(f"line {lineno}: header after data rows")
                 key, sep, value = line[1:].partition(":")
                 if not sep:
-                    raise ResultsParseError(f"line {lineno}: expected '# key: value'")
+                    raise ValueError(f"line {lineno}: expected '# key: value'")
                 key = key.strip()
                 if key in headers:
-                    raise ResultsParseError(f"line {lineno}: repeated header {key!r}")
+                    raise ValueError(f"line {lineno}: repeated header {key!r}")
                 headers[key] = value.strip()
                 continue
             if not saw_csv_header:
                 if line != _CSV_HEADER:
-                    raise ResultsParseError(
+                    raise ValueError(
                         f"line {lineno}: expected column header {_CSV_HEADER!r}"
                     )
                 saw_csv_header = True
                 continue
             cells = line.split(",")
             if len(cells) != 4:
-                raise ResultsParseError(f"line {lineno}: expected 4 columns, got {len(cells)}")
+                raise ValueError(f"line {lineno}: expected 4 columns, got {len(cells)}")
             try:
                 ber = float(cells[3])
                 rows.append((lineno, BerPoint(float(cells[0]), int(cells[1]), int(cells[2])), ber))
             except ValueError as exc:
-                raise ResultsParseError(f"line {lineno}: {exc}") from None
+                raise ValueError(f"line {lineno}: {exc}") from None
     if not saw_csv_header:
-        raise ResultsParseError("line 0: truncated file, no column header")
+        raise ValueError("line 0: truncated file, no column header")
     try:
         try:
             config_data = json.loads(headers["config"])
         except json.JSONDecodeError as exc:
-            raise ResultsParseError(f"config header is not valid JSON ({exc})") from None
+            raise ValueError(f"config header is not valid JSON ({exc})") from None
         if not isinstance(config_data, dict):
-            raise ResultsParseError("config header must be a JSON object")
+            raise ValueError("config header must be a JSON object")
         config = config_from_dict(config_data)
         if headers["scheme"] == SCHEME_ALAMOUTI and "code_paths" not in config_data:
             # Files from before code_paths: alamouti-sf meant the depth-one
@@ -609,23 +603,20 @@ def read_results(path) -> SweepResult:
             try:
                 return convert(value)
             except (KeyError, ValueError):
-                raise ResultsParseError(f"header {key!r}: bad value {value!r}") from None
+                raise ValueError(f"header {key!r}: bad value {value!r}") from None
 
         spec = SweepSpec(config=config, **{name: parse(key, read)
                                            for key, name, _, read in _SPEC_HEADERS})
         version = headers["code_version"]
         seed = parse("master_seed", int)
     except KeyError as exc:
-        raise ResultsParseError(f"missing header {exc.args[0]!r}") from None
+        raise ValueError(f"missing header {exc.args[0]!r}") from None
     if seed != config.master_seed:
-        raise ResultsParseError(
+        raise ValueError(
             f"header 'master_seed': {seed} disagrees with the config header's {config.master_seed}"
         )
     points = [point for _, point, _ in rows]
-    try:
-        _check_points(spec, points, [f"line {n}" for n, _, _ in rows], [ber for _, _, ber in rows])
-    except InvalidSpecError as exc:
-        raise ResultsParseError(str(exc)) from None
+    _check_points(spec, points, [f"line {n}" for n, _, _ in rows], [ber for _, _, ber in rows])
     return SweepResult(spec=spec, points=points, code_version=version)
 
 

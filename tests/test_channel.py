@@ -124,12 +124,21 @@ def test_apply_rejects_mismatched_shapes(small_config, tiny_config):
         apply(cw, grid, 1.0, rng)
 
 
-def test_apply_rejects_bad_snr(small_config):
+@pytest.mark.parametrize("snr_linear, noise, name", [
+    (0.0, True, "snr_linear"),
+    # NaN ran into all-NaN samples, which decoded to all-zero bits without an
+    # error; inf ran into non-finite samples; True ran as 1.
+    (float("nan"), True, "snr_linear"), (float("inf"), True, "snr_linear"),
+    (True, True, "snr_linear"),
+    # A missing noise generator raised a TypeError from inside the draw.
+    (1.0, False, "rng"),
+], ids=["zero", "nan", "inf", "bool", "no-rng"])
+def test_apply_rejects_bad_snr(small_config, snr_linear, noise, name):
     rng = np.random.default_rng(71)
     cw = _block(small_config, rng)
     grid = frequency_response(draw_channel(small_config, rng), small_config)
-    with pytest.raises(ValueError):
-        apply(cw, grid, 0.0, rng)
+    with pytest.raises(ValueError, match=f"^{name} "):
+        apply(cw, grid, snr_linear, rng if noise else None)
 
 
 def test_grid_dataclass_holds_response():

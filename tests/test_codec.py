@@ -1,4 +1,5 @@
 import dataclasses
+import re
 
 import numpy as np
 import numpy.testing as npt
@@ -130,6 +131,16 @@ def test_codeword_file_round_trip(tmp_path, small_config):
     path = tmp_path / "codeword.txt"
     write_codeword(cw, path)
     npt.assert_array_equal(read_codeword(path), cw.states)
+
+
+def test_write_codeword_refuses_a_batch(tmp_path, small_config):
+    # A batch of two blocks truncated the file, then raised a TypeError.
+    rng = np.random.default_rng(9)
+    cw = encode(modulate(rng.integers(0, 2, 32), BPSK).reshape(2, -1), small_config)
+    path = tmp_path / "codeword.txt"
+    with pytest.raises(ValueError, match=re.escape(f"got shape {cw.states.shape}")):
+        write_codeword(cw, path)
+    assert not path.exists()
 
 
 def test_read_codeword_rejects_ragged_lines(tmp_path):

@@ -417,9 +417,8 @@ def test_metric_products_stay_on_one_blas_thread(monkeypatch, scenario, constell
                         lambda *code: tuple(f.view(Counted) for f in candidates(*code)))
     config = SystemConfig(constellation=constellation, num_rx=num_rx)
     spec = scenario_spec(scenario, config, decoder_mode=mode)
-    blocks = range(_chunk_cap(spec))
-    window = (0, harness.seed_words(spec.config.master_seed, 0, blocks))
-    harness._chunk_errors(spec, harness.build_scheme(spec), 10.0, window, blocks)
+    words = harness.seed_words(spec.config.master_seed, 0, 0, _chunk_cap(spec))
+    harness._chunk_errors(spec, harness.build_scheme(spec), 10.0, words)
     assert products or candidates_per_pass(spec.config, mode) > decoder._PRODUCT_CANDIDATES
     assert max(products, default=0) <= _ONE_THREAD_MULADDS, sorted(set(products))
 

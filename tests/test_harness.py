@@ -19,7 +19,6 @@ from qosf.harness import (
     BerPoint,
     InsufficientDataError,
     InvalidSpecError,
-    ResultsParseError,
     SweepResult,
     SweepSpec,
     block_rng,
@@ -231,6 +230,21 @@ def test_block_rng_scenario_key_changes_draws():
     assert not np.array_equal(shared, keyed)
 
 
+@pytest.mark.parametrize("stream", [-1, 3, True, 1.0, "0"])
+def test_block_rng_refuses_streams_outside_the_tree(stream):
+    # -1 returned the noise node's generator and 3 raised a bare IndexError.
+    with pytest.raises(ValueError, match=re.escape(f"stream must be 0 (bits), 1 (channel) or "
+                                                   f"2 (noise), got {stream!r}")):
+        block_rng(7, 0, 0, stream)
+
+
+@pytest.mark.parametrize("block", [2.5, True])
+def test_block_rng_takes_whole_block_indices(block):
+    # A window of two indices must not round 2.5 to block 2 or take True as 1.
+    with pytest.raises(ValueError, match=re.escape("seed tree node (7, (0,), blocks ")):
+        block_rng(7, 0, block, 0)
+
+
 @pytest.mark.parametrize("seed", [0, 1, 2**32 - 1, 2**32, 2**64 - 1])
 @pytest.mark.parametrize("key", [None, zlib.crc32(b"proposed"), 2**32 - 1])
 def test_seed_tree_matches_seed_sequence(seed, key):
@@ -239,7 +253,7 @@ def test_seed_tree_matches_seed_sequence(seed, key):
     windows = (range(0, 0), range(0, 2), range(255, 257), range(2**32 - 2, 2**32))
     for snr_index in (0, 1, 10, 2**32 - 1):
         for blocks in windows:
-            words = harness.seed_words(seed, snr_index, blocks, key)
+            words = harness.seed_words(seed, snr_index, blocks.start, blocks.stop, key)
             assert words.shape == (len(blocks), 3, 4) and words.flags.c_contiguous
             for row, block in zip(words, blocks):
                 for stream in range(3):
@@ -253,10 +267,11 @@ def test_seed_tree_matches_seed_sequence(seed, key):
     (2**64, 0, range(0, 1), None), (-1, 0, range(0, 1), None), (0, 2**32, range(0, 1), None),
     (0, -1, range(0, 1), None), (0, 0, range(0, 1), 2**32),
     (0, 0, range(2**32 - 1, 2**32 + 1), None), (0, 0, range(-1, 1), None),
+    (0, 0, range(5, 0), None),  # first 5, stop 0: a reversed window
 ])
 def test_seed_words_refuses_nodes_outside_its_range(seed, snr_index, blocks, key):
     with pytest.raises(ValueError, match=re.escape(f"seed tree node ({seed}, ")):
-        harness.seed_words(seed, snr_index, blocks, key)
+        harness.seed_words(seed, snr_index, blocks.start, blocks.stop, key)
 
 
 @pytest.mark.parametrize("seed", [0, 2**32 - 1, 2**63 + 5])
@@ -409,9 +424,9 @@ def test_run_point_matches_serial_loop_across_windows(small_config, monkeypatch,
     windows = []
     seed_words = harness.seed_words
 
-    def recording(master_seed, snr_index, blocks, scenario_key=None):
-        windows.append(blocks)
-        return seed_words(master_seed, snr_index, blocks, scenario_key)
+    def recording(master_seed, snr_index, first, stop, scenario_key=None):
+        windows.append(range(first, stop))
+        return seed_words(master_seed, snr_index, first, stop, scenario_key)
 
     monkeypatch.setattr(harness, "_WINDOW_BLOCKS", window)
     monkeypatch.setattr(harness, "seed_words", recording)
@@ -450,16 +465,26 @@ def test_run_point_cuts_the_last_chunk_at_the_stop(small_config, monkeypatch):
 
 
 def _record_chunks(monkeypatch):
-    """Record the block range and the error count of every chunk run_point runs."""
-    chunks, counts = [], []
-    chunk_errors = harness._chunk_errors
+    """Record the block range and the error count of every chunk run_point runs.
+    A chunk's range is where its seed-word rows sit in the last window of seed
+    words run_point computed, and those rows must be the window's rows there."""
+    chunks, counts, windows = [], [], []
+    seed_words, chunk_errors = harness.seed_words, harness._chunk_errors
 
-    def recording(spec, scheme, snr_linear, window, blocks):
-        chunks.append(blocks)
-        errors = chunk_errors(spec, scheme, snr_linear, window, blocks)
+    def window(master_seed, snr_index, first, stop, scenario_key=None):
+        windows.append((first, seed_words(master_seed, snr_index, first, stop, scenario_key)))
+        return windows[-1][1]
+
+    def recording(spec, scheme, snr_linear, words):
+        first, rows = windows[-1]
+        offset = int(np.flatnonzero((rows == words[0]).all(axis=(1, 2)))[0])
+        assert np.array_equal(words, rows[offset:offset + len(words)]), (first, offset)
+        chunks.append(range(first + offset, first + offset + len(words)))
+        errors = chunk_errors(spec, scheme, snr_linear, words)
         counts.append(int(errors.sum()))
         return errors
 
+    monkeypatch.setattr(harness, "seed_words", window)
     monkeypatch.setattr(harness, "_chunk_errors", recording)
     return chunks, counts
 
@@ -781,7 +806,7 @@ def test_read_results_reports_line_numbers(tmp_path, small_config):
     bad = "\n".join(lines + ["5.0,100,not-a-number,0.1"]) + "\n"
     path = tmp_path / "bad.csv"
     path.write_text(bad)
-    with pytest.raises(ResultsParseError, match=f"line {len(lines) + 1}"):
+    with pytest.raises(ValueError, match=f"line {len(lines) + 1}"):
         read_results(path)
 
 
@@ -791,7 +816,7 @@ def test_read_results_rejects_wrong_column_count(tmp_path, small_config):
     lines.append("5.0,100,2")
     path = tmp_path / "bad.csv"
     path.write_text("\n".join(lines) + "\n")
-    with pytest.raises(ResultsParseError):
+    with pytest.raises(ValueError):
         read_results(path)
 
 
@@ -804,7 +829,7 @@ def test_read_results_rejects_missing_header(tmp_path, small_config):
     ]
     path = tmp_path / "bad.csv"
     path.write_text("\n".join(lines) + "\n")
-    with pytest.raises(ResultsParseError, match="master_seed"):
+    with pytest.raises(ValueError, match="master_seed"):
         read_results(path)
 
 
@@ -813,7 +838,7 @@ def test_read_results_rejects_truncated_file(tmp_path, small_config):
     text = format_results(result)
     path = tmp_path / "bad.csv"
     path.write_text(text[: text.rindex(",")])
-    with pytest.raises(ResultsParseError):
+    with pytest.raises(ValueError):
         read_results(path)
 
 
