@@ -41,22 +41,16 @@ class AngleSearchReport:
 
 
 @lru_cache(maxsize=8)
-def component_differences(constellation: str) -> np.ndarray:
-    """Distinct values of a - b over all constellation point pairs."""
-    points = constellation_points(constellation)
-    diffs = np.unique((points[:, None] - points[None, :]).ravel())
-    diffs.flags.writeable = False
-    return diffs
-
-@lru_cache(maxsize=8)
 def difference_vectors(constellation: str, pl: int) -> np.ndarray:
     """All nonzero length-pl difference vectors, one row per vector.
 
     Every pair of distinct symbol vectors s != s' produces one of these rows
     as s - s', and every row is realized by some pair, so minimizing over the
-    rows is the same as minimizing over pairs.
+    rows is the same as minimizing over pairs.  Each component is one of the
+    distinct values of a - b over the constellation's point pairs.
     """
-    comp = component_differences(constellation)
+    points = constellation_points(constellation)
+    comp = np.unique((points[:, None] - points[None, :]).ravel())
     # A power of at most cap.bit_length() decides the cap for any base >= 2.
     if len(comp) ** min(pl, _MAX_DIFF_VECTORS.bit_length()) > _MAX_DIFF_VECTORS:
         raise ValueError(

@@ -241,10 +241,7 @@ def config_from_dict(data: dict) -> SystemConfig:
     unknown = sorted(set(data) - _FIELD_NAMES)
     if unknown:
         raise ConfigError(f"unknown config keys: {', '.join(unknown)}")
-    try:
-        return SystemConfig(**data)
-    except TypeError as exc:
-        raise ConfigError(str(exc)) from None
+    return SystemConfig(**data)
 
 
 def load_config(path) -> SystemConfig:

@@ -76,21 +76,20 @@ def hadamard(order: int) -> np.ndarray:
 
 
 def modulate(bits, constellation: str) -> np.ndarray:
-    """Map a 0/1 bit sequence to unit-energy symbols.
+    """Map [..., bits] of 0/1 values to [..., symbols] of unit-energy symbols.
 
     BPSK: bit 0 -> +1, bit 1 -> -1.  QPSK: Gray-coded bit pairs, first bit
     selects the real sign, second the imaginary sign (0 -> +, 1 -> -).
     """
-    bits = np.asarray(bits, dtype=np.int64)
-    if bits.ndim != 1:
-        raise ValueError("bits must be one-dimensional")
-    if (bits & ~1).any():
+    bits = np.atleast_1d(bits)
+    if not ((bits == 0) | (bits == 1)).all():  # the values as given, before any cast
         raise ValueError("bits must contain only 0 and 1")
+    bits = bits.astype(np.int64, copy=False)
     points = constellation_points(constellation)
     k = bits_per_symbol(constellation)
-    if bits.size % k != 0:
-        raise ValueError(f"{constellation} needs a multiple of {k} bits, got {bits.size}")
-    return points[bits if k == 1 else 2 * bits[0::2] + bits[1::2]]
+    if bits.shape[-1] % k != 0:
+        raise ValueError(f"{constellation} needs a multiple of {k} bits, got {bits.shape[-1]}")
+    return points[bits if k == 1 else 2 * bits[..., 0::2] + bits[..., 1::2]]
 
 
 def complex_normal(rng: np.random.Generator | Sequence[np.random.Generator],

@@ -317,12 +317,6 @@ def block_rng(master_seed: int, snr_index: int, block_index: int, stream: int,
     return np.random.Generator(_bit_generators()(words[0, stream]))
 
 
-def _scenario_key(spec: SweepSpec) -> int | None:
-    if not spec.independent_streams:
-        return None
-    return zlib.crc32(spec.scenario_label.encode("utf-8"))
-
-
 def _chunk_cap(spec: SweepSpec) -> int:
     """Most blocks one chunk may hold within _CHUNK_BYTES at a block's
     block_bytes: 32 for the default P=2 code on 128 tones, in BPSK or QPSK,
@@ -403,7 +397,8 @@ def run_point(spec: SweepSpec, snr_db: float, snr_index: int) -> BerPoint:
     cap = min(_chunk_cap(spec), _WINDOW_BLOCKS)
     errors = blocks = 0
     size = 1
-    key, first, words = _scenario_key(spec), 0, ()  # no seed words yet
+    key = zlib.crc32(spec.scenario_label.encode("utf-8")) if spec.independent_streams else None
+    first, words = 0, ()  # no seed words yet
     while errors < spec.min_bit_errors and blocks < spec.max_ofdm_blocks:
         floor = -(-(spec.min_bit_errors - errors) // scheme.bits_per_block)
         size = min(max(size, floor), cap, spec.max_ofdm_blocks - blocks)
@@ -521,18 +516,15 @@ _SPEC_HEADERS = (
 )
 
 
-def _header_pairs(result: SweepResult):
-    spec = result.spec
-    return [(key, write(getattr(spec, name))) for key, name, write, _ in _SPEC_HEADERS] + [
-        ("master_seed", str(spec.config.master_seed)),
-        ("code_version", result.code_version),
-        ("config", json.dumps(config_to_dict(spec.config), sort_keys=True)),
-    ]
-
-
 def format_results(result: SweepResult) -> str:
-    lines = [f"# {key}: {value}" for key, value in _header_pairs(result)]
-    lines.append(_CSV_HEADER)
+    spec = result.spec
+    lines = [f"# {key}: {write(getattr(spec, name))}" for key, name, write, _ in _SPEC_HEADERS]
+    lines += [
+        f"# master_seed: {spec.config.master_seed}",
+        f"# code_version: {result.code_version}",
+        f"# config: {json.dumps(config_to_dict(spec.config), sort_keys=True)}",
+        _CSV_HEADER,
+    ]
     for p in result.points:
         lines.append(f"{p.snr_db!r},{p.bits_simulated},{p.bit_errors},{p.ber:.5e}")
     return "\n".join(lines) + "\n"

@@ -44,9 +44,7 @@ class QosfScheme:
 
     def encode_bits(self, bits: np.ndarray) -> SfCodeword:
         """Codeword of one block's bits, or of each row of a [..., bits] batch."""
-        bits = np.asarray(bits)
-        symbols = modulate(bits.reshape(-1), self.config.constellation)
-        return encode(symbols.reshape(bits.shape[:-1] + (-1,)), self.config)
+        return encode(modulate(bits, self.config.constellation), self.config)
 
     def decode_bits(self, received: ReceivedBlock, grid: ChannelFrequencyGrid) -> np.ndarray:
         """Bits of one block, or of each block of a batch along its leading axes."""

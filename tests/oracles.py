@@ -17,6 +17,7 @@ response.
 """
 
 import functools
+import zlib
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,7 +27,7 @@ from qosf.codec import build_theta, group_codewords, group_windows
 from qosf.core import CapExceededError, bits_per_symbol, constellation_points, product_rows
 from qosf.decoder import DECOUPLED, DEFAULT_SEARCH_CAP, EXHAUSTIVE
 from qosf.harness import (
-    _STREAM_BITS, _STREAM_CHANNEL, _STREAM_NOISE, BerPoint, _scenario_key, build_scheme,
+    _STREAM_BITS, _STREAM_CHANNEL, _STREAM_NOISE, BerPoint, build_scheme,
 )
 
 NUM_TX = 2
@@ -314,7 +315,7 @@ def serial_point(spec, snr_db: float, snr_index: int):
     come from seed_tree_rng, not from the harness's seed words.
     """
     scheme = build_scheme(spec)
-    key = _scenario_key(spec)
+    key = zlib.crc32(spec.scenario_label.encode("utf-8")) if spec.independent_streams else None
     snr_linear = 10.0 ** (snr_db / 10.0)
     seed = spec.config.master_seed
     bits_total = 0

@@ -76,8 +76,13 @@ def test_modulate_rejects_bad_input():
             modulate([-1, 0], name)
     with pytest.raises(ValueError, match="needs a multiple of 2 bits"):
         modulate([0, 1, 1], QPSK)
-    with pytest.raises(ValueError):
-        modulate([[0, 1]], BPSK)
+    # Values are checked as given: 0.5 is no bit, though it casts to 0.
+    with pytest.raises(ValueError, match="only 0 and 1"):
+        modulate([0.5, 1], BPSK)
+    # A [2, n] batch gives two rows of symbols, each row its own modulate.
+    batch = np.array([[0, 0, 1, 1], [1, 0, 0, 1]])
+    for name in (BPSK, QPSK):
+        npt.assert_array_equal(modulate(batch, name), [modulate(row, name) for row in batch])
 
 
 @pytest.mark.parametrize("name", [BPSK, QPSK])
