@@ -14,8 +14,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .codec import SfCodeword
-from .config import SystemConfig, is_real
-from .core import complex_normal
+from .config import SystemConfig
+from .core import complex_normal, is_real
 
 
 @dataclass

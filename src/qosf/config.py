@@ -10,11 +10,10 @@ from __future__ import annotations
 import dataclasses
 import json
 import math
-import numbers
 import sys
 from dataclasses import dataclass
 
-from .core import BPSK, constellation_points, is_power_of_two
+from .core import BPSK, QPSK, is_integer, is_power_of_two, is_real
 
 
 # Bytes one OFDM block holds per tone, state and receive antenna while it runs:
@@ -81,8 +80,9 @@ class SystemConfig:
             raise ConfigError(
                 f"symbol_duration_s must be a finite number, got {self.symbol_duration_s!r}"
             )
-        if not isinstance(self.constellation, str):
-            raise ConfigError(f"constellation must be a string, got {self.constellation!r}")
+        if self.constellation not in (BPSK, QPSK):
+            raise ConfigError(
+                f"constellation must be {BPSK!r} or {QPSK!r}, got {self.constellation!r}")
         object.__setattr__(self, "rotation_angles", _numbers(self.rotation_angles, "rotation_angles"))
         for name in ("num_tx", "num_rx", "num_states", "num_paths", "code_paths",
                      "num_subcarriers"):
@@ -103,7 +103,6 @@ class SystemConfig:
             raise ConfigError("symbol_duration_s must be positive")
         if not 0 <= self.master_seed < 2**64:
             raise ConfigError("master_seed must fit in an unsigned 64-bit integer")
-        constellation_points(self.constellation)
         if self.num_subcarriers % self.group_span != 0:
             raise ConfigError(
                 f"num_subcarriers ({self.num_subcarriers}) must be a multiple of "
@@ -192,16 +191,6 @@ class SystemConfig:
 
 _INTEGER_FIELDS = ("num_tx", "num_rx", "num_states", "num_paths", "code_paths",
                    "num_subcarriers", "cp_len", "master_seed")
-
-
-def is_integer(value) -> bool:
-    """An integer; a bool, a float or a numeric string is not one."""
-    return not isinstance(value, bool) and isinstance(value, numbers.Integral)
-
-
-def is_real(value) -> bool:
-    """A real number; a bool or a numeric string is not one."""
-    return not isinstance(value, bool) and isinstance(value, numbers.Real)
 
 
 def _is_finite_number(value) -> bool:

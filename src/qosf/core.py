@@ -6,6 +6,7 @@ concurrently without synchronization.
 
 from __future__ import annotations
 
+import numbers
 from collections.abc import Sequence
 
 import numpy as np
@@ -26,8 +27,19 @@ class CapExceededError(RuntimeError):
     """A configured work cap (search space, grid size) would be exceeded."""
 
 
-def is_power_of_two(n: int) -> bool:
-    return n >= 1 and (n & (n - 1)) == 0
+def is_integer(value) -> bool:
+    """An integer; a bool, a float or a numeric string is not one."""
+    return not isinstance(value, bool) and isinstance(value, numbers.Integral)
+
+
+def is_real(value) -> bool:
+    """A real number; a bool or a numeric string is not one."""
+    return not isinstance(value, bool) and isinstance(value, numbers.Real)
+
+
+def is_power_of_two(n) -> bool:
+    """A power-of-two integer, by is_integer's rule: 2.0 and True are not."""
+    return is_integer(n) and n >= 1 and (n & (n - 1)) == 0
 
 
 def constellation_points(constellation: str) -> np.ndarray:

@@ -30,7 +30,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .channel import apply, draw_channel, frequency_response
-from .config import SystemConfig, config_from_dict, config_to_dict, is_integer, is_real
+from .config import SystemConfig, config_from_dict, config_to_dict
+from .core import is_integer, is_real
 from .decoder import DECOUPLED, EXHAUSTIVE
 from .schemes import QosfScheme, alamouti_variant, p1_variant
 from .version import __version__
@@ -268,10 +269,12 @@ def seed_words(master_seed: int, snr_index: int, first: int, stop: int,
     """[B, 3, 4] uint64 PCG64 seed words of the bits, channel and noise nodes of
     blocks first..stop - 1 at once: row [b, s] is SeedSequence(master_seed, spawn_key=
     (key, snr_index, first + b, s)).generate_state(4, np.uint64), key left out if
-    None.  The seed is below 2**64 and each spawn-key entry below 2**32: one word each."""
+    None.  Each is an integer, not a bool: the seed below 2**64 and each spawn-key
+    entry below 2**32, one word each."""
     spawn = (snr_index,) if scenario_key is None else (scenario_key, snr_index)
-    if not (0 <= master_seed < 1 << 64 and all(0 <= v < 1 << 32 for v in spawn)
-            and is_integer(first) and is_integer(stop) and 0 <= first <= stop <= 1 << 32):
+    if not (all(map(is_integer, (master_seed, *spawn, first, stop)))
+            and 0 <= master_seed < 1 << 64 and all(0 <= v < 1 << 32 for v in spawn)
+            and 0 <= first <= stop <= 1 << 32):
         raise ValueError(f"seed tree node ({master_seed}, {spawn}, blocks {first}.."
                          f"{stop - 1}) is outside seed < 2**64, entries < 2**32")
     pool = np.random.SeedSequence(master_seed, spawn_key=spawn).pool

@@ -74,6 +74,12 @@ def test_metric_validates_arguments():
         coding_gain_metric((0.1, 0.2), BPSK, 4)
     with pytest.raises(ValueError):
         coding_gain_metric((0.1, 0.2), BPSK, 3)
+    # pl is an integer: not a bool, which would run as pl = 1, nor a float.
+    for pl in (True, 2.0):
+        with pytest.raises(ValueError, match=f"pl must be a power of two, got {pl}$"):
+            coding_gain_metric((0.1,), BPSK, pl)
+        with pytest.raises(ValueError, match=f"pl must be a power of two, got {pl}$"):
+            optimize_angles(BPSK, pl)
 
 
 def test_optimize_pl2_finds_plateau():

@@ -97,6 +97,12 @@ def test_rejects_bad_constellation():
         SystemConfig(constellation="16qam")
 
 
+@pytest.mark.parametrize("name", ["8psk", "BPSK", "", ["bpsk"], None])
+def test_unknown_constellation_is_a_config_error(name):
+    with pytest.raises(ConfigError, match="constellation must be 'bpsk' or 'qpsk', got "):
+        SystemConfig(constellation=name)
+
+
 @pytest.mark.parametrize("changes,message", [
     (dict(cp_len=-1), "cp_len must be non-negative"),
     (dict(symbol_duration_s=0.0), "symbol_duration_s must be positive"),

@@ -28,8 +28,8 @@ def test_hadamard_matches_scipy(order):
 
 
 def test_hadamard_rejects_other_orders():
-    for bad in (0, 3, 6, 12):
-        with pytest.raises(ValueError, match="must be a power of two"):
+    for bad in (0, 3, 6, 12, True, 2.0, 4.0):
+        with pytest.raises(ValueError, match=f"must be a power of two, got {bad}$"):
             hadamard(bad)
 
 

@@ -268,6 +268,9 @@ def test_seed_tree_matches_seed_sequence(seed, key):
     (0, -1, range(0, 1), None), (0, 0, range(0, 1), 2**32),
     (0, 0, range(2**32 - 1, 2**32 + 1), None), (0, 0, range(-1, 1), None),
     (0, 0, range(5, 0), None),  # first 5, stop 0: a reversed window
+    # Bools and floats are not seed-tree entries, though True == 1 == 1.0.
+    (True, 1, range(0, 1), None), (7, True, range(0, 1), None), (7, 1, range(0, 1), True),
+    (1.0, 0, range(0, 1), None), (0, 1.0, range(0, 1), None), (0, 0, range(0, 1), 5.0),
 ])
 def test_seed_words_refuses_nodes_outside_its_range(seed, snr_index, blocks, key):
     with pytest.raises(ValueError, match=re.escape(f"seed tree node ({seed}, ")):

@@ -5,10 +5,11 @@ import tempfile
 
 import numpy as np
 import numpy.testing as npt
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from qosf import SystemConfig
 from qosf.codec import build_theta
+from qosf.config import ConfigError, config_from_dict, config_to_dict
 from oracles import demodulate
 from qosf.core import BPSK, QPSK, hadamard, modulate
 from qosf.decoder import DECOUPLED, EXHAUSTIVE
@@ -35,6 +36,29 @@ def test_hadamard_is_orthogonal(order):
 def test_theta_always_scaled_unitary(angles):
     theta = build_theta(angles, 4)
     npt.assert_allclose(theta.conj().T @ theta, 4 * np.eye(4), atol=1e-10)
+
+
+# What json.loads can return.
+_JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers(-2**70, 2**70) | st.floats() | st.text(),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(), inner, max_size=4),
+    max_leaves=12,
+)
+_DEFAULTS = config_to_dict(SystemConfig())
+
+
+@settings(derandomize=True, deadline=None)
+@given(st.sets(st.sampled_from(sorted(_DEFAULTS))),
+       st.dictionaries(st.sampled_from(sorted(_DEFAULTS)), _JSON_VALUES, max_size=2))
+@example(set(), {"constellation": "8psk"})
+def test_config_dict_fails_only_with_config_error(kept, drawn):
+    # Some fields at their defaults and one or two drawn, so that most dicts
+    # get past the first checks and reach the later ones.
+    try:
+        config = config_from_dict({name: _DEFAULTS[name] for name in kept} | drawn)
+    except ConfigError:
+        return
+    assert isinstance(config, SystemConfig)
 
 
 @st.composite
